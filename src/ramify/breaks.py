@@ -61,7 +61,8 @@ def prime_to_p_breaks(p: int, e: int) -> list[int]:
     """The e possible upper breaks b_upper(1) < ... < b_upper(e)."""
     if e < 0:
         raise ValueError("index out of domain")
-    return [b_upper(i, p) for i in range(1, e + 1)]
+    _check_prime(p)
+    return [i + (i - 1) // (p - 1) for i in range(1, e + 1)]
 
 
 def _check_q(p: int, q: int) -> None:
@@ -76,12 +77,16 @@ def _check_q(p: int, q: int) -> None:
 
 
 def b_lower(i: int, p: int, q: int) -> int:
-    """Lower-numbering image of b_upper(i): sum_{j<i} q^j + sum_{j=1}^{a(i)} q^{j(p-1)}."""
+    """Lower-numbering image of b_upper(i): sum_{j<i} q^j + sum_{j=1}^{a(i)} q^{j(p-1)}.
+
+    Both sums are geometric: (q^i - 1)/(q - 1) + Q (Q^a - 1)/(Q - 1) with
+    Q = q^(p-1) and a = a_of(i).
+    """
     _check_index(i)
     _check_q(p, q)
-    first = sum(q**j for j in range(i))
-    second = sum(q ** (j * (p - 1)) for j in range(1, a_of(i, p) + 1))
-    return first + second
+    big_q = q ** (p - 1)
+    a = (i - 1) // (p - 1)
+    return (q**i - 1) // (q - 1) + big_q * ((big_q**a - 1) // (big_q - 1))
 
 
 def c_truncation(m: int, p: int) -> int:
@@ -107,14 +112,17 @@ def iter_break_entries(p: int, q: int) -> Iterator[tuple[int, int, int, int]]:
     i = 1
     lower = 0
     prev_upper = 0
+    step = 1  # q^(i-1)
     while True:
-        upper = b_upper(i, p)
+        a = (i - 1) // (p - 1)
+        upper = i + a
         # Incremental form of the closed formula: crossing from b_upper(i-1)
         # to b_upper(i) adds one q^{i-1}-sized step per unit of upper distance,
         # which telescopes to the two-sum expression tested against b_lower.
-        lower += q ** (i - 1) * (upper - prev_upper)
-        yield i, a_of(i, p), upper, lower
+        lower += step * (upper - prev_upper)
+        yield i, a, upper, lower
         prev_upper = upper
+        step *= q
         i += 1
 
 

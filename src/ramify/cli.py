@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -124,8 +125,13 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
     upper = upper_filtration(params, max_index=args.max_index)
     char_p = params.characteristic != 0
     if char_p:
-        lower = lower_filtration(params, max_index=args.m) if args.m else None
-        space = unit_space_model(params, level=args.m or b_upper(args.max_index, params.p))
+        if args.m is None:
+            lower = None
+            level = b_upper(args.max_index, params.p)
+        else:
+            lower = lower_filtration(params, max_index=args.m)
+            level = args.m
+        space = unit_space_model(params, level=level)
         table = None
         different = None
         discriminant = None
@@ -349,4 +355,17 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull so that the
+        # interpreter's own flush at exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .breaks import b_lower, b_upper, c_truncation
+from .breaks import b_lower, b_upper, break_sequence, c_truncation, prime_to_p_breaks
 
 __all__ = [
     "FieldParams",
@@ -230,14 +230,13 @@ def upper_filtration(
     """
     p, f = params.p, params.f
     if params.characteristic == 0:
-        jumps = [(-1, 1)]
-        jumps += [(b_upper(i, p), f) for i in range(1, params.e + 1)]
+        jumps = [(-1, 1)] + [(b, f) for b in prime_to_p_breaks(p, params.e)]
         if params.zeta_in_field:
             jumps.append((int(p * params.e1), 1))
             return RamificationFiltration(p, "upper", 2 + params.e * f, tuple(jumps))
         return RamificationFiltration(p, "upper", 1 + params.e * f, tuple(jumps))
     n = _require_char_p_bound(max_index)
-    jumps = [(-1, 1)] + [(b_upper(i, p), f) for i in range(1, n + 1)]
+    jumps = [(-1, 1)] + [(b, f) for b in prime_to_p_breaks(p, n)]
     return RamificationFiltration(p, "upper", 1 + n * f, tuple(jumps), truncated=True)
 
 
@@ -255,15 +254,13 @@ def lower_filtration(
     """
     p, f, q = params.p, params.f, params.q
     if params.characteristic == 0:
-        jumps = [(-1, 1)]
-        jumps += [(b_lower(i, p, q), f) for i in range(1, params.e + 1)]
-        if params.zeta_in_field:
-            jumps.append((b_lower(params.e, p, q) + q**params.e, 1))
-            return RamificationFiltration(p, "lower", 2 + params.e * f, tuple(jumps))
-        return RamificationFiltration(p, "lower", 1 + params.e * f, tuple(jumps))
-    m = _require_char_p_bound(max_index)
-    count = c_truncation(m, p)
-    jumps = [(-1, 1)] + [(b_lower(i, p, q), f) for i in range(1, count + 1)]
+        count = params.e
+    else:
+        count = c_truncation(_require_char_p_bound(max_index), p)
+    jumps = [(-1, 1)] + [(lower, f) for *_, lower in break_sequence(p, q, count).entries]
+    if params.characteristic == 0 and params.zeta_in_field:
+        jumps.append((jumps[-1][0] + q**count, 1))
+        return RamificationFiltration(p, "lower", 2 + count * f, tuple(jumps))
     return RamificationFiltration(p, "lower", 1 + count * f, tuple(jumps))
 
 
@@ -361,12 +358,13 @@ def index_table(params: FieldParams) -> list[tuple[int, Optional[int], int]]:
     """
     if not params.regular:
         raise ValueError("index table is defined for the regular case only")
-    p, f, e = params.p, params.f, params.e
-    bounds = [0] + [b_upper(i, p) for i in range(1, e + 1)]
+    bounds = [0] + prime_to_p_breaks(params.p, params.e)
     rows: list[tuple[int, Optional[int], int]] = []
-    for i in range(e):
-        rows.append((bounds[i], bounds[i + 1], params.q**i))
-    rows.append((bounds[e], None, params.q**e))
+    index = 1
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows.append((lo, hi, index))
+        index *= params.q
+    rows.append((bounds[-1], None, index))
     return rows
 
 
@@ -483,7 +481,7 @@ def v_space_model(params: FieldParams) -> FilteredSpace:
         raise ValueError("the V model is defined for the regular case only")
     p, f, e, s = params.p, params.f, params.e, params.s
     top = p * params.e * s // (p - 1)
-    jumps = [(top, 1)] + [(top - b_upper(i, p) * s, f) for i in range(1, e + 1)]
+    jumps = [(top, 1)] + [(top - b * s, f) for b in prime_to_p_breaks(p, e)]
     return FilteredSpace(p=p, total_dim=1 + e * f, label=V_REGULAR, jumps=tuple(jumps))
 
 
@@ -511,12 +509,12 @@ def unit_space_model(
         e = params.e
         top = int(p * params.e1)
         jumps = [(top, 1)]
-        jumps += [(b_upper(i, p), f) for i in range(e, 0, -1)]
+        jumps += [(b, f) for b in reversed(prime_to_p_breaks(p, e))]
         jumps.append((0, 1))
         return FilteredSpace(p=p, total_dim=2 + e * f, label=UBAR_ZETA, jumps=tuple(jumps))
     m = _require_char_p_bound(level)
     count = c_truncation(m, p)
-    jumps = [(0, 1)] + [(-b_upper(i, p), f) for i in range(1, count + 1)]
+    jumps = [(0, 1)] + [(-b, f) for b in prime_to_p_breaks(p, count)]
     return FilteredSpace(p=p, total_dim=1 + count * f, label=WP_CHAR_P, jumps=tuple(jumps))
 
 

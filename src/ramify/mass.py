@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .breaks import b_upper
+from .breaks import prime_to_p_breaks
 from .filtration import (
     FieldParams,
     FilteredSpace,
@@ -121,8 +121,7 @@ def _per_break_rows(
 ) -> tuple[tuple[int, int, int, Fraction], ...]:
     p, q = params.p, params.q
     rows = []
-    for i in range(1, count + 1):
-        b = b_upper(i, p)
+    for i, b in enumerate(prime_to_p_breaks(p, count), start=1):
         n = lines_with_break_count(params, i)
         rows.append((i, b, n, Fraction(n, q ** ((p - 1) * b))))
     return tuple(rows)

@@ -63,6 +63,33 @@ def test_prime_to_p_breaks_characterization(p, e):
     assert all(b < bound and b % p != 0 for b in got)
 
 
+def _b_lower_two_sums(i, p, q):
+    """The defining two-sum form of b_lower, kept as the test-side reference."""
+    first = sum(q**j for j in range(i))
+    second = sum(q ** (j * (p - 1)) for j in range(1, (i - 1) // (p - 1) + 1))
+    return first + second
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_b_lower_closed_form_matches_two_sums_and_table(p, f):
+    q = p**f
+    table = iter_break_entries(p, q)
+    for i in range(1, 151):
+        row = next(table)
+        assert row[0] == i
+        assert b_lower(i, p, q) == _b_lower_two_sums(i, p, q) == row[3]
+
+
+def test_b_lower_validates_inputs():
+    with pytest.raises(ValueError, match="index out of domain"):
+        b_lower(0, 3, 3)
+    with pytest.raises(ValueError, match="prime"):
+        b_lower(1, 4, 4)
+    with pytest.raises(ValueError, match="power of p"):
+        b_lower(1, 3, 8)
+
+
 def test_b_lower_known_values():
     assert b_lower(1, 3, 3) == 1
     assert b_lower(1, 5, 25) == 1

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +12,11 @@ import ramify.verify
 from ramify.cli import run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+}
 
 
 def _run(argv):
@@ -153,6 +161,10 @@ def test_herbrand_char_p_needs_m():
         (["report", "--p", "3", "--f", "1", "--char", "p", "--zeta", "out"], "convention"),
         (["report", "--p", "3", "--e", "1", "--f", "1", "--char", "0", "--zeta", "out",
           "--m", "4"], "characteristic p"),
+        (["report", "--p", "3", "--f", "1", "--char", "p", "--m", "0"],
+         "positive truncation index"),
+        (["herbrand", "--p", "3", "--f", "1", "--char", "p", "--m", "0"],
+         "positive truncation index"),
     ],
 )
 def test_validation_errors_exit_1_with_diagnostic(argv, needle):
@@ -186,3 +198,38 @@ def test_verify_subcommand_reports_failure(monkeypatch):
     assert code == 2
     assert "FAIL sentinel.failing" in out
     assert "deliberately broken" in out
+
+
+@pytest.mark.parametrize("module", ["ramify", "ramify.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    argv = ["breaks", "--p", "5", "--e", "6"]
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == _run(argv)[1]
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # The report is about 230 kB, far more than a pipe buffers, so the
+    # writer is still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ramify", "report", "--p", "3", "--e", "400", "--zeta", "out"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=SUBPROCESS_ENV,
+    )
+    try:
+        assert proc.stdout.readline() == b"field parameters\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,33 @@ class TestFiltrations:
         assert not low.truncated
         assert low.total_dim == 5
 
+    @pytest.mark.parametrize(
+        "params,m",
+        [
+            (FieldParams(p=5, f=2, e=800, zeta_in_field=False), None),
+            (FieldParams(p=5, f=2, e=800, zeta_in_field=True), None),
+            (FieldParams(p=5, f=2, characteristic=5), 800),
+        ],
+    )
+    def test_lower_breaks_match_closed_form_and_psi_at_scale(self, params, m):
+        p, q = params.p, params.q
+        low = lower_filtration(params, max_index=m)
+        if m is None:
+            count = params.e
+            up = upper_filtration(params)
+        else:
+            count = m - m // p
+            # The level-m quotient is finite: its upper filtration is complete.
+            up = dataclasses.replace(upper_filtration(params, max_index=count), truncated=False)
+        closed = [b_lower(i, p, q) for i in range(1, count + 1)]
+        assert list(low.locations[1 : count + 1]) == closed
+        psi = herbrand_psi(up)
+        assert [psi(b_upper(i, p)) for i in range(1, count + 1)] == closed
+        if params.zeta_in_field and m is None:
+            assert low.locations[-1] == closed[-1] + q**count
+        else:
+            assert len(low.locations) == count + 1
+
     def test_codims_carry_residual_degree(self):
         u = upper_filtration(FieldParams(p=3, f=2, e=2, zeta_in_field=False))
         assert list(u.jumps) == [(-1, 1), (1, 2), (2, 2)]
@@ -250,7 +278,7 @@ class TestDifferent:
 
     def test_closed_form_matches_oracle_on_grid(self):
         for p in (3, 5, 7):
-            for e in range(1, 9):
+            for e in range(1, 201):
                 for f in range(1, 4):
                     params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
                     assert different_exponent_closed(params) == different_exponent_oracle(
