@@ -31,11 +31,10 @@ from .filtration import (
     index_table,
     lower_filtration,
     orthogonal_index,
+    space_model,
     splitting_data,
     tres_ramifiee_discriminant,
-    unit_space_model,
     upper_filtration,
-    v_space_model,
 )
 from .fpspace import (
     FpMatrix,
@@ -65,7 +64,6 @@ from .rationals import (
     decimal_string,
     geometric_sum_finite,
     geometric_sum_infinite,
-    rat_reduce,
 )
 
 __version__ = "0.1.0"
@@ -111,14 +109,12 @@ __all__ = [
     "multiplicative_order",
     "orthogonal_index",
     "prime_to_p_breaks",
-    "rat_reduce",
     "series_value",
     "serre_total_mass",
+    "space_model",
     "splitting_data",
     "subspace",
     "tres_ramifiee_count",
     "tres_ramifiee_discriminant",
-    "unit_space_model",
     "upper_filtration",
-    "v_space_model",
 ]

@@ -11,6 +11,7 @@ piecewise-linear map that reproduces it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,17 +28,11 @@ __all__ = [
 
 
 def _check_prime(p: int) -> None:
-    if p < 2:
+    """The package's one primality test: trial division by 2, then by odd d <= isqrt(p)."""
+    if p < 2 or (p % 2 == 0 and p != 2):
         raise ValueError("p must be a prime")
-    if p in (2, 3):
-        return
-    if p % 2 == 0:
+    if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
         raise ValueError("p must be a prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise ValueError("p must be a prime")
-        d += 2
 
 
 def _check_index(i: int) -> None:

@@ -18,9 +18,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
-from . import verify as verify_mod
 from .breaks import b_upper, break_sequence
 from .filtration import (
     FieldParams,
@@ -31,9 +30,8 @@ from .filtration import (
     herbrand_psi,
     index_table,
     lower_filtration,
-    unit_space_model,
+    space_model,
     upper_filtration,
-    v_space_model,
 )
 from .mass import MassReport, cyclic_mass
 from .rationals import decimal_string
@@ -99,25 +97,17 @@ def _herbrand_doc(m: HerbrandMap) -> dict[str, Any]:
 
 
 def _parse_params(args: argparse.Namespace) -> FieldParams:
-    characteristic = 0 if args.char == "0" else args.p
-    if characteristic == 0:
-        if args.e is None:
-            raise ValueError("e must be a positive integer in characteristic 0")
-        if args.m is not None:
-            raise ValueError("m applies to characteristic p only")
-        zeta: Optional[bool]
-        if args.zeta is None:
-            zeta = True if args.p == 2 else None
-            if zeta is None:
-                raise ValueError("zeta_in_field must be given in characteristic 0")
-        else:
-            zeta = args.zeta == "in"
-        return FieldParams(p=args.p, f=args.f, e=args.e, zeta_in_field=zeta)
-    if args.e is not None:
-        raise ValueError("e is undefined in characteristic p")
-    if args.zeta == "out":
-        raise ValueError("characteristic p fixes zeta_in_field by convention")
-    return FieldParams(p=args.p, f=args.f, characteristic=args.p)
+    """FieldParams from the field flags; FieldParams validates all but --m."""
+    params = FieldParams(
+        p=args.p,
+        f=args.f,
+        characteristic=0 if args.char == "0" else args.p,
+        e=args.e,
+        zeta_in_field=None if args.zeta is None else args.zeta == "in",
+    )
+    if params.characteristic == 0 and args.m is not None:
+        raise ValueError("m applies to characteristic p only")
+    return params
 
 
 def _cmd_report(args: argparse.Namespace, out) -> int:
@@ -131,13 +121,13 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
         else:
             lower = lower_filtration(params, max_index=args.m)
             level = args.m
-        space = unit_space_model(params, level=level)
+        space = space_model(params, level=level)
         table = None
         different = None
         discriminant = None
     else:
         lower = lower_filtration(params)
-        space = unit_space_model(params) if params.zeta_in_field else v_space_model(params)
+        space = space_model(params)
         table = index_table(params) if params.regular else None
         different = different_exponent_closed(params) if params.regular else None
         discriminant = discriminant_exponent(params) if params.regular else None
@@ -284,6 +274,9 @@ def _cmd_mass(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
+    # Imported here so that the other subcommands do not pay for the battery.
+    from . import verify as verify_mod
+
     ok = verify_mod.run_all(write=lambda line: out.write(line + "\n"))
     return 0 if ok else 2
 

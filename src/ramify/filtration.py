@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .breaks import b_lower, b_upper, break_sequence, c_truncation, prime_to_p_breaks
+from .breaks import (
+    _check_prime,
+    b_lower,
+    b_upper,
+    break_sequence,
+    c_truncation,
+    prime_to_p_breaks,
+)
 
 __all__ = [
     "FieldParams",
@@ -47,8 +54,7 @@ __all__ = [
     "discriminant_exponent",
     "cyclic_discriminant",
     "tres_ramifiee_discriminant",
-    "v_space_model",
-    "unit_space_model",
+    "space_model",
     "break_of_line",
     "orthogonal_index",
     "dim_at_level",
@@ -67,12 +73,6 @@ WP_CHAR_P = "wp_char_p"
 # Boundary tags returned by orthogonal_index outside [1, b_upper(e)].
 BELOW_BREAK_RANGE = "below_break_range"
 ABOVE_BREAK_RANGE = "above_break_range"
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,7 @@ class FieldParams:
     zeta_in_field: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError("p must be a prime")
+        _check_prime(self.p)
         if self.f < 1:
             raise ValueError("f must be a positive integer")
         if self.characteristic not in (0, self.p):
@@ -186,8 +185,7 @@ class RamificationFiltration:
     truncated: bool = False
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
-            raise ValueError("p must be a prime")
+        _check_prime(self.p)
         if self.numbering not in ("upper", "lower"):
             raise ValueError("numbering must be 'upper' or 'lower'")
         locs = [loc for loc, _ in self.jumps]
@@ -307,20 +305,23 @@ class HerbrandMap:
 def _transition(
     p: int, positive_jumps: list[tuple[int, int]], exponent_sign: int
 ) -> HerbrandMap:
-    """Piecewise-linear map whose slope is p^(sign * codims crossed so far)."""
+    """Piecewise-linear map whose slope is p^(sign * codims crossed so far).
+
+    The slope is kept as a running product, so each jump costs one
+    multiplication by p^(sign * codim) rather than a fresh power.
+    """
     points = [(Fraction(0), Fraction(0))]
     slopes: list[Fraction] = []
-    crossed = 0
+    slope = Fraction(1)
     x_prev, y_prev = Fraction(0), Fraction(0)
     for loc, codim in positive_jumps:
-        slope = Fraction(p) ** (exponent_sign * crossed)
         x = Fraction(loc)
         y = y_prev + slope * (x - x_prev)
         points.append((x, y))
         slopes.append(slope)
-        crossed += codim
+        slope *= Fraction(p) ** (exponent_sign * codim)
         x_prev, y_prev = x, y
-    slopes.append(Fraction(p) ** (exponent_sign * crossed))
+    slopes.append(slope)
     return HerbrandMap(breakpoints=tuple(points), slopes=tuple(slopes))
 
 
@@ -469,87 +470,53 @@ def dim_at_level(space: FilteredSpace, index: int) -> int:
     return sum(c for j, c in space.jumps if j >= index)
 
 
-def v_space_model(params: FieldParams) -> FilteredSpace:
-    """The filtered space of Kummer classes cutting out degree-p extensions
-    of a regular F, filtered by the unit filtration of K = F(zeta_p).
+def space_model(params: FieldParams, level: Optional[int] = None) -> FilteredSpace:
+    """Filtered F_p-space whose lines classify the degree-p cyclic extensions.
 
-    Indices are in the normalized valuation of K. The deepest line sits at
-    p*e1*s = p*e*s/(p-1); below it the space grows by f dimensions at each
-    index p*e1*s - b_upper(i)*s, i in [1, e]. Total dimension 1 + ef.
+    It is the upper filtration read backwards: an upper jump (b, codim)
+    becomes the space jump (top - s*max(b, 0), codim), so the unramified
+    line (b = -1) sits at the deepest index `top`. Per regime:
+
+    * regular (V_regular): Kummer classes filtered by the unit filtration of
+      K = F(zeta_p), in the normalized valuation of K; top = p*e1*s,
+      dimension 1 + ef.
+    * zeta in F, characteristic 0 (Ubar_zeta): unit classes of F at
+      unit-filtration levels; top = p*e1 and s = 1, so the tres ramifiee
+      break p*e1 lands on index 0. Dimension 2 + ef.
+    * characteristic p (wp_char_p): the level-m Artin-Schreier space, which
+      holds the c_truncation(m) breaks b_upper(i) <= m; top = 0 and s = 1,
+      so pole order b is stored as index -b. `level` (= m) is required,
+      since the full space is infinite-dimensional, and is rejected in
+      characteristic 0.
     """
-    if not params.regular:
-        raise ValueError("the V model is defined for the regular case only")
-    p, f, e, s = params.p, params.f, params.e, params.s
-    top = p * params.e * s // (p - 1)
-    jumps = [(top, 1)] + [(top - b * s, f) for b in prime_to_p_breaks(p, e)]
-    return FilteredSpace(p=p, total_dim=1 + e * f, label=V_REGULAR, jumps=tuple(jumps))
-
-
-def unit_space_model(
-    params: FieldParams, level: Optional[int] = None
-) -> FilteredSpace:
-    """Filtered model of the classes cutting out degree-p extensions when
-    zeta is in the field.
-
-    Characteristic 0: the unit-class space of F itself, dimension 2 + ef,
-    with jumps at p*e/(p-1) (the deepest line), at b_upper(e..1) (f each)
-    and at 0 (the unramified direction); `level` must be omitted.
-
-    Characteristic p: the level-m Artin-Schreier space, an ascending chain
-    indexed here by -m: jumps at 0 and at -b_upper(i) for the
-    c_truncation(level) break indices with b_upper(i) <= level. `level`
-    (= m) is required since the full space is infinite-dimensional.
-    """
-    p, f = params.p, params.f
+    p = params.p
     if params.characteristic == 0:
-        if not params.zeta_in_field:
-            raise ValueError("regular case: use v_space_model")
         if level is not None:
             raise ValueError("level applies to characteristic p only")
-        e = params.e
-        top = int(p * params.e1)
-        jumps = [(top, 1)]
-        jumps += [(b, f) for b in reversed(prime_to_p_breaks(p, e))]
-        jumps.append((0, 1))
-        return FilteredSpace(p=p, total_dim=2 + e * f, label=UBAR_ZETA, jumps=tuple(jumps))
-    m = _require_char_p_bound(level)
-    count = c_truncation(m, p)
-    jumps = [(0, 1)] + [(-b, f) for b in prime_to_p_breaks(p, count)]
-    return FilteredSpace(p=p, total_dim=1 + count * f, label=WP_CHAR_P, jumps=tuple(jumps))
+        upper = upper_filtration(params)
+        s = params.s if params.regular else 1
+        top = p * params.e * s // (p - 1)
+        label = V_REGULAR if params.regular else UBAR_ZETA
+    else:
+        count = c_truncation(_require_char_p_bound(level), p)
+        upper = upper_filtration(params, max_index=count)
+        s, top, label = 1, 0, WP_CHAR_P
+    jumps = tuple((top - s * max(b, 0), codim) for b, codim in upper.jumps)
+    return FilteredSpace(p=p, total_dim=upper.total_dim, label=label, jumps=jumps)
 
 
-def break_of_line(
-    space: FilteredSpace, depth_index: int, params: FieldParams
-) -> int:
-    """Upper-numbering break of the degree-p extension cut out by a line at
-    the given depth of the space. -1 means unramified.
-
-    Depth conventions per model: V_regular uses the space's own indices
-    (p*e1*s is the unramified line); Ubar_zeta uses unit-filtration levels m
-    (break p*e1 - m, with m = p*e1 unramified); wp_char_p uses pole order m
-    (break m, with m = 0 unramified).
+def break_of_line(space: FilteredSpace, index: int, params: FieldParams) -> int:
+    """Upper-numbering break of the degree-p extension cut out by a line
+    whose depth is the given stored index of space_model(params). -1 means
+    unramified (the line at the deepest index); otherwise the break inverts
+    the index map of space_model: (top - index) / s.
     """
-    if space.label == V_REGULAR:
-        if depth_index not in space.indices:
-            raise ValueError("illegal depth for this space")
-        top = space.indices[0]
-        if depth_index == top:
-            return -1
-        s = params.s
-        return (top - depth_index) // s
-    if space.label == UBAR_ZETA:
-        if depth_index not in space.indices:
-            raise ValueError("illegal depth for this space")
-        top = space.indices[0]
-        if depth_index == top:
-            return -1
-        return top - depth_index
-    # wp_char_p: depths are pole orders, stored negated.
-    if -depth_index not in space.indices:
+    if index not in space.indices:
         raise ValueError("illegal depth for this space")
-    if depth_index == 0:
+    top = space.indices[0]
+    if index == top:
         return -1
-    return depth_index
+    return (top - index) // (params.s if params.regular else 1)
 
 
 def orthogonal_index(

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
+from .breaks import _check_prime
+
 __all__ = [
     "FpMatrix",
     "FpSubspace",
@@ -34,11 +36,6 @@ __all__ = [
 ]
 
 LINE_ENUMERATION_BOUND = 10**7
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError("p must be a prime")
 
 
 @dataclass(frozen=True)

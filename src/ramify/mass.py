@@ -12,8 +12,9 @@ rational arithmetic, for the three parameter regimes of module filtration:
 * characteristic p: an infinite sum over all break indices with closed form
   series_value.
 
-Each closed form is paired with brute_force_mass, an independent oracle that
-enumerates lines of the filtered-space models and adds q^{-c} line by line.
+cyclic_mass is the one closed form over all three regimes. It is paired with
+brute_force_mass, an independent oracle that enumerates the lines of
+filtration.space_model and adds q^{-c} line by line.
 """
 
 from __future__ import annotations
@@ -23,14 +24,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .breaks import prime_to_p_breaks
-from .filtration import (
-    FieldParams,
-    FilteredSpace,
-    break_of_line,
-    unit_space_model,
-    v_space_model,
-)
+from .breaks import _check_prime, _check_q, prime_to_p_breaks
+from .filtration import FieldParams, break_of_line, space_model
+from .fpspace import LINE_ENUMERATION_BOUND
 from .rationals import geometric_sum_finite
 
 __all__ = [
@@ -38,9 +34,6 @@ __all__ = [
     "lines_with_break_count",
     "tres_ramifiee_count",
     "series_value",
-    "cyclic_mass_char_p",
-    "cyclic_mass_char0_zeta",
-    "cyclic_mass_char0_regular",
     "cyclic_mass",
     "average_c_cyclotomic",
     "average_c_closed_form",
@@ -92,14 +85,6 @@ def tres_ramifiee_count(params: FieldParams) -> int:
     return params.p * params.q**params.e
 
 
-def _check_q(p: int, q: int) -> None:
-    r = q
-    while r > 1 and r % p == 0:
-        r //= p
-    if r != 1 or q < p:
-        raise ValueError("q must be a power of p")
-
-
 def series_value(p: int, q: int) -> Fraction:
     """Exact value of sum_{i>0} q^{i - (p-1) b_upper(i)}.
 
@@ -116,81 +101,39 @@ def series_value(p: int, q: int) -> Fraction:
     return block / (1 - Fraction(1, q ** ((p - 1) ** 2)))
 
 
-def _per_break_rows(
-    params: FieldParams, count: int
-) -> tuple[tuple[int, int, int, Fraction], ...]:
+def cyclic_mass(params: FieldParams, display_rows: int = 16) -> MassReport:
+    """Mass of the cyclic degree-p extensions, in any of the three regimes.
+
+    Rows cover the breaks b_upper(1..e) in characteristic 0 and the first
+    display_rows breaks in characteristic p, where the per-break table is
+    infinite. When zeta is in F (characteristic 0) the p*q^e deepest-break
+    extensions add p / q^{(p-1)e}. The characteristic-0 total is the sum of
+    the rows (and that term); the characteristic-p total is the exact value
+    (p/q) * ((q-1)/(p-1)) * series_value(p, q) of the whole series.
+    """
     p, q = params.p, params.q
+    char_p = params.characteristic != 0
+    if char_p and display_rows < 1:
+        raise ValueError("need at least one display row")
     rows = []
-    for i, b in enumerate(prime_to_p_breaks(p, count), start=1):
+    for i, b in enumerate(prime_to_p_breaks(p, display_rows if char_p else params.e), start=1):
         n = lines_with_break_count(params, i)
         rows.append((i, b, n, Fraction(n, q ** ((p - 1) * b))))
-    return tuple(rows)
-
-
-def cyclic_mass_char_p(params: FieldParams, display_rows: int = 16) -> MassReport:
-    """Mass of all cyclic degree-p extensions in characteristic p.
-
-    total = (p/q) * ((q-1)/(p-1)) * series_value(p, q); the per-break table
-    is infinite, so only display_rows rows are materialized.
-    """
-    if params.characteristic == 0:
-        raise ValueError("characteristic p parameters required")
-    if display_rows < 1:
-        raise ValueError("need at least one display row")
-    p, q = params.p, params.q
-    total = Fraction(p, q) * Fraction(q - 1, p - 1) * series_value(p, q)
+    tres = None
+    if char_p:
+        total = Fraction(p, q) * Fraction(q - 1, p - 1) * series_value(p, q)
+    else:
+        total = sum((r[3] for r in rows), Fraction(0))
+        if params.zeta_in_field:
+            tres = (tres_ramifiee_count(params), Fraction(p, q ** ((p - 1) * params.e)))
+            total += tres[1]
     return MassReport(
         params=params,
-        per_break=_per_break_rows(params, display_rows),
-        tres_ramifiee=None,
-        total=total,
-        fraction_of_serre_total=total / serre_total_mass(p),
-    )
-
-
-def cyclic_mass_char0_zeta(params: FieldParams) -> MassReport:
-    """Mass of the cyclic extensions when zeta is in F (characteristic 0).
-
-    The breaks b_upper(1..e) contribute as in the regular case, and the
-    p*q^e deepest-break extensions add p / q^{(p-1)e}.
-    """
-    if params.characteristic != 0 or not params.zeta_in_field:
-        raise ValueError("zeta-in-field characteristic-0 parameters required")
-    p, q, e = params.p, params.q, params.e
-    rows = _per_break_rows(params, e)
-    tres = (tres_ramifiee_count(params), Fraction(p, q ** ((p - 1) * e)))
-    total = sum((r[3] for r in rows), Fraction(0)) + tres[1]
-    return MassReport(
-        params=params,
-        per_break=rows,
+        per_break=tuple(rows),
         tres_ramifiee=tres,
         total=total,
         fraction_of_serre_total=total / serre_total_mass(p),
     )
-
-
-def cyclic_mass_char0_regular(params: FieldParams) -> MassReport:
-    """Mass of the cyclic extensions of a regular F (zeta outside, char 0)."""
-    if not params.regular:
-        raise ValueError("regular characteristic-0 parameters required")
-    rows = _per_break_rows(params, params.e)
-    total = sum((r[3] for r in rows), Fraction(0))
-    return MassReport(
-        params=params,
-        per_break=rows,
-        tres_ramifiee=None,
-        total=total,
-        fraction_of_serre_total=total / serre_total_mass(params.p),
-    )
-
-
-def cyclic_mass(params: FieldParams, display_rows: int = 16) -> MassReport:
-    """Dispatch to the closed form matching the parameter regime."""
-    if params.characteristic != 0:
-        return cyclic_mass_char_p(params, display_rows=display_rows)
-    if params.zeta_in_field:
-        return cyclic_mass_char0_zeta(params)
-    return cyclic_mass_char0_regular(params)
 
 
 def average_c_cyclotomic(p: int, peu_only: bool = False) -> Fraction:
@@ -203,8 +146,7 @@ def average_c_cyclotomic(p: int, peu_only: bool = False) -> Fraction:
     """
     if p == 2:
         raise ValueError("average is defined for odd p")
-    if not _is_prime_int(p):
-        raise ValueError("p must be a prime")
+    _check_prime(p)
     hi = p - 1 if peu_only else p
     num = sum((p - 1) * i * p**i for i in range(1, hi + 1))
     den = sum(p**i for i in range(1, hi + 1))
@@ -215,13 +157,8 @@ def average_c_closed_form(p: int) -> Fraction:
     """Closed form of average_c_cyclotomic(p): (p^{p+2}-p^{p+1}-p^p+1)/(p^p-1)."""
     if p == 2:
         raise ValueError("average is defined for odd p")
-    if not _is_prime_int(p):
-        raise ValueError("p must be a prime")
+    _check_prime(p)
     return Fraction(p ** (p + 2) - p ** (p + 1) - p**p + 1, p**p - 1)
-
-
-def _is_prime_int(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 def brute_force_mass(
@@ -239,23 +176,10 @@ def brute_force_mass(
     mass of the extensions with break <= m. In characteristic 0 the result
     is the complete cyclic mass and char_p_level must be omitted.
     """
-    if params.characteristic == 0:
-        if char_p_level is not None:
-            raise ValueError("char_p_level applies to characteristic p only")
-        space = (
-            unit_space_model(params)
-            if params.zeta_in_field
-            else v_space_model(params)
-        )
-    else:
-        space = unit_space_model(params, level=char_p_level)
-    return _sum_over_lines(space, params)
-
-
-def _sum_over_lines(space: FilteredSpace, params: FieldParams) -> Fraction:
+    space = space_model(params, level=char_p_level)
     p, q = params.p, params.q
     dim = space.total_dim
-    if p**dim > 10**7:
+    if p**dim > LINE_ENUMERATION_BOUND:
         raise ValueError("enumeration too large")
     # Coordinate t carries the filtration index of the jump it belongs to,
     # deepest first; a line's depth is the shallowest index among its
@@ -263,11 +187,9 @@ def _sum_over_lines(space: FilteredSpace, params: FieldParams) -> Fraction:
     coord_index: list[int] = []
     for idx, codim in space.jumps:
         coord_index.extend([idx] * codim)
-    wp = space.label == "wp_char_p"
     contribution_at: dict[int, Fraction] = {}
     for idx in space.indices:
-        depth = -idx if wp else idx
-        brk = break_of_line(space, depth, params)
+        brk = break_of_line(space, idx, params)
         contribution_at[idx] = (
             Fraction(0) if brk == -1 else Fraction(1, q ** ((p - 1) * brk))
         )

@@ -7,33 +7,13 @@ is decimal_string, which does long division digit by digit.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 __all__ = [
-    "gcd",
-    "rat_reduce",
     "geometric_sum_finite",
     "geometric_sum_infinite",
     "decimal_string",
 ]
-
-Rational = Fraction
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) = 0."""
-    return math.gcd(a, b)
-
-
-def rat_reduce(num: int, den: int) -> Fraction:
-    """num/den in lowest terms, denominator positive, sign on the numerator.
-
-    Raises ZeroDivisionError when den == 0.
-    """
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
 
 
 def geometric_sum_finite(x: Fraction | int, n: int) -> Fraction:

@@ -26,8 +26,8 @@ from .filtration import (
     index_table,
     lower_filtration,
     orthogonal_index,
+    space_model,
     upper_filtration,
-    v_space_model,
 )
 
 __all__ = ["CHECKS", "run_all"]
@@ -260,7 +260,7 @@ def check_orthogonality() -> None:
             for f in range(1, 3):
                 params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
                 up = upper_filtration(params)
-                space = v_space_model(params)
+                space = space_model(params)
                 top_break = breaks.b_upper(e, p)
                 mesh = [Fraction(1)] + [
                     Fraction(1) + Fraction(k * (top_break - 1), 19) for k in range(1, 20)
@@ -283,7 +283,7 @@ def check_mass_brute_vs_closed() -> None:
                     assert mass.brute_force_mass(params) == mass.cyclic_mass(params).total
                 if e % (p - 1) == 0:
                     params = FieldParams(p=p, f=f, e=e, zeta_in_field=True)
-                    if p**(2 + e * f) <= 10**7:
+                    if p ** (2 + e * f) <= fpspace.LINE_ENUMERATION_BOUND:
                         assert (
                             mass.brute_force_mass(params)
                             == mass.cyclic_mass(params).total
@@ -298,7 +298,7 @@ def check_mass_char_p_partial() -> None:
         total = mass.cyclic_mass(params).total
         for m in (3, 7, 11):
             count = breaks.c_truncation(m, p)
-            if p ** (1 + count * f) > 10**7:
+            if p ** (1 + count * f) > fpspace.LINE_ENUMERATION_BOUND:
                 continue
             partial = mass.brute_force_mass(params, char_p_level=m)
             expected = (

@@ -23,9 +23,8 @@ from ramify.filtration import (
     herbrand_psi,
     lower_filtration,
     orthogonal_index,
-    unit_space_model,
+    space_model,
     upper_filtration,
-    v_space_model,
 )
 from ramify.fpspace import (
     apply_idempotent,
@@ -46,9 +45,6 @@ from ramify.mass import (
     average_c_cyclotomic,
     brute_force_mass,
     cyclic_mass,
-    cyclic_mass_char0_regular,
-    cyclic_mass_char0_zeta,
-    cyclic_mass_char_p,
     lines_with_break_count,
     tres_ramifiee_count,
 )
@@ -62,10 +58,10 @@ def test_criterion_01_p2_totality():
     """Degree-2 cyclic extensions carry the whole mass: totals equal 2."""
     start = time.perf_counter()
     q2 = FieldParams(p=2, f=1, e=1, zeta_in_field=True)
-    assert cyclic_mass_char0_zeta(q2).total == 2
+    assert cyclic_mass(q2).total == 2
     for f in (1, 2, 3):  # q in {2, 4, 8}
         params = FieldParams(p=2, f=f, characteristic=2)
-        assert cyclic_mass_char_p(params).total == 2
+        assert cyclic_mass(params).total == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 0.010, f"took {elapsed:.4f}s, budget 10ms"
 
@@ -85,7 +81,7 @@ def test_criterion_02_char2_series_display():
             assert term > 0  # so partial sums strictly increase
             partial += term
         assert abs(2 - partial) < TOL
-        assert cyclic_mass_char_p(FieldParams(p=2, f=f, characteristic=2)).total == 2
+        assert cyclic_mass(FieldParams(p=2, f=f, characteristic=2)).total == 2
 
 
 def _valid_zeta_flags(p, e):
@@ -139,8 +135,6 @@ def _break_histogram(params, space):
     for line in enumerate_lines(full_space(params.p, space.total_dim)):
         vec = line.basis[0]
         depth = min(coord_index[k] for k, v in enumerate(vec) if v)
-        if space.label == "wp_char_p":
-            depth = -depth
         brk = break_of_line(space, depth, params)
         counts[brk] = counts.get(brk, 0) + 1
     return counts
@@ -156,7 +150,7 @@ def test_criterion_05_line_counts_vs_enumeration():
             for f in range(1, 4):
                 for zeta in _valid_zeta_flags(p, e):
                     params = FieldParams(p=p, f=f, e=e, zeta_in_field=zeta)
-                    space = unit_space_model(params) if zeta else v_space_model(params)
+                    space = space_model(params)
                     if space.total_dim > dim_cap[p]:
                         continue
                     counts = _break_histogram(params, space)
@@ -173,7 +167,7 @@ def test_criterion_05_line_counts_vs_enumeration():
             level_breaks = c_truncation(m, p)
             if 1 + level_breaks > dim_cap[p]:
                 continue
-            space = unit_space_model(charp, level=m)
+            space = space_model(charp, level=m)
             counts = _break_histogram(charp, space)
             assert counts.pop(-1) == 1
             for i in range(1, level_breaks + 1):
@@ -256,7 +250,7 @@ def test_criterion_08_orthogonality_dimension_perfect():
             for f in range(1, 4):
                 params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
                 upper = upper_filtration(params)
-                space = v_space_model(params)
+                space = space_model(params)
                 full = 1 + e * f
                 u = Fraction(1)
                 top = b_upper(e, p)
@@ -280,12 +274,8 @@ def test_criterion_10_regular_mass_is_smaller():
             if e % (p - 1) != 0:
                 continue
             for f in range(1, 4):
-                reg = cyclic_mass_char0_regular(
-                    FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                ).total
-                zet = cyclic_mass_char0_zeta(
-                    FieldParams(p=p, f=f, e=e, zeta_in_field=True)
-                ).total
+                reg = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=False)).total
+                zet = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=True)).total
                 assert reg < zet
 
 

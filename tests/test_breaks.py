@@ -12,6 +12,8 @@ from ramify.breaks import (
     prime_to_p_breaks,
 )
 from ramify.filtration import FieldParams, herbrand_psi, upper_filtration
+from ramify.fpspace import count_lines
+from ramify.mass import average_c_closed_form, series_value
 
 
 def test_a_of_known_values():
@@ -19,6 +21,23 @@ def test_a_of_known_values():
     assert a_of(3, 3) == 1
     for i in range(1, 20):
         assert a_of(i, 2) == i - 1
+
+
+def test_prime_check_matches_reference():
+    """Every public entry point accepts exactly the primes, odd squares included."""
+    for n in range(-2, 130):
+        is_prime = n >= 2 and all(n % d for d in range(2, n))
+        checks = [lambda: a_of(1, n), lambda: count_lines(1, n)]
+        checks.append(lambda: FieldParams(p=n, f=1, characteristic=n))
+        checks.append(lambda: series_value(n, n))
+        if n != 2:
+            checks.append(lambda: average_c_closed_form(n))
+        for check in checks:
+            if is_prime:
+                check()
+            else:
+                with pytest.raises(ValueError, match="p must be a prime"):
+                    check()
 
 
 def test_a_of_rejects_zero_index():

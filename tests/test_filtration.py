@@ -21,11 +21,10 @@ from ramify.filtration import (
     index_table,
     lower_filtration,
     orthogonal_index,
+    space_model,
     splitting_data,
     tres_ramifiee_discriminant,
-    unit_space_model,
     upper_filtration,
-    v_space_model,
 )
 
 Q3 = FieldParams(p=3, f=1, e=1, zeta_in_field=False)
@@ -323,10 +322,10 @@ class TestCyclicDiscriminant:
 
 class TestSpaceModels:
     def test_v_space_known_values(self):
-        v = v_space_model(Q3)
+        v = space_model(Q3)
         assert v.total_dim == 2
         assert list(v.jumps) == [(3, 1), (1, 1)]
-        v2 = v_space_model(P321)
+        v2 = space_model(P321)
         assert list(v2.jumps) == [(3, 1), (2, 1), (1, 1)]
 
     def test_v_space_dimension_grid(self):
@@ -334,34 +333,27 @@ class TestSpaceModels:
             for e in range(1, 6):
                 for f in range(1, 4):
                     params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                    assert v_space_model(params).total_dim == 1 + e * f
-
-    def test_v_space_regular_only(self):
-        with pytest.raises(ValueError):
-            v_space_model(P321Z)
+                    assert space_model(params).total_dim == 1 + e * f
 
     def test_unit_space_known_values(self):
-        u = unit_space_model(Q2)
+        u = space_model(Q2)
         assert u.total_dim == 3
         assert list(u.jumps) == [(2, 1), (1, 1), (0, 1)]
-        u2 = unit_space_model(P321Z)
+        u2 = space_model(P321Z)
         assert u2.total_dim == 4
         assert list(u2.jumps) == [(3, 1), (2, 1), (1, 1), (0, 1)]
 
     def test_unit_space_char_p(self):
-        w = unit_space_model(CHAR3, level=5)
+        w = space_model(CHAR3, level=5)
         assert list(w.jumps) == [(0, 1), (-1, 1), (-2, 1), (-4, 1), (-5, 1)]
         with pytest.raises(ValueError):
-            unit_space_model(CHAR3)
-
-    def test_unit_space_rejects_regular(self):
-        with pytest.raises(ValueError, match="v_space_model"):
-            unit_space_model(Q3)
-        with pytest.raises(ValueError):
-            unit_space_model(Q2, level=3)
+            space_model(CHAR3)
+        # The level picks a finite quotient, which only characteristic p has.
+        with pytest.raises(ValueError, match="characteristic p only"):
+            space_model(Q2, level=3)
 
     def test_dim_at_level(self):
-        v = v_space_model(P321)
+        v = space_model(P321)
         assert dim_at_level(v, 3) == 1
         assert dim_at_level(v, 2) == 2
         assert dim_at_level(v, 1) == 3
@@ -370,26 +362,26 @@ class TestSpaceModels:
 
 class TestBreakOfLine:
     def test_zeta_case(self):
-        space = unit_space_model(P321Z)
+        space = space_model(P321Z)
         assert break_of_line(space, 3, P321Z) == -1  # depth pe1: unramified
         assert break_of_line(space, 2, P321Z) == 1
         assert break_of_line(space, 1, P321Z) == 2
         assert break_of_line(space, 0, P321Z) == 3
 
     def test_char_p_case(self):
-        # depths here are pole orders m, positive; the model stores -m.
-        space = unit_space_model(CHAR3, level=5)
+        # Pole order m is stored as index -m; index 0 is the unramified line.
+        space = space_model(CHAR3, level=5)
         assert break_of_line(space, 0, CHAR3) == -1
-        assert break_of_line(space, b_upper(2, 3), CHAR3) == b_upper(2, 3)
+        assert break_of_line(space, -b_upper(2, 3), CHAR3) == b_upper(2, 3)
 
     def test_regular_case(self):
-        space = v_space_model(P321)
+        space = space_model(P321)
         assert break_of_line(space, 3, P321) == -1  # the deepest line
         assert break_of_line(space, 2, P321) == 1
         assert break_of_line(space, 1, P321) == 2
 
     def test_illegal_depth(self):
-        space = unit_space_model(P321Z)
+        space = space_model(P321Z)
         with pytest.raises(ValueError):
             break_of_line(space, 7, P321Z)
 
@@ -418,7 +410,7 @@ class TestOrthogonality:
                 for f in range(1, 3):
                     params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
                     upper = upper_filtration(params)
-                    space = v_space_model(params)
+                    space = space_model(params)
                     be = b_upper(e, p)
                     u = Fraction(1)
                     while u <= be:

@@ -10,9 +10,6 @@ from ramify.mass import (
     average_c_cyclotomic,
     brute_force_mass,
     cyclic_mass,
-    cyclic_mass_char0_regular,
-    cyclic_mass_char0_zeta,
-    cyclic_mass_char_p,
     lines_with_break_count,
     series_value,
     serre_total_mass,
@@ -92,34 +89,45 @@ class TestSeriesValue:
         rhs = sum(Fraction(1, q ** ((p - 2) * j)) for j in range(1, p))
         assert lhs == rhs
 
+    @pytest.mark.parametrize(
+        "p,q,message",
+        [
+            (4, 16, "p must be a prime"),
+            (3, 6, "q must be a power of p"),
+            (3, 1, "q must be a power of p"),
+        ],
+    )
+    def test_rejects_invalid_p_and_q(self, p, q, message):
+        with pytest.raises(ValueError, match=message):
+            series_value(p, q)
+
 
 class TestClosedFormMasses:
     def test_char_p_totals(self):
-        assert cyclic_mass_char_p(FieldParams(p=2, f=1, characteristic=2)).total == 2
-        assert cyclic_mass_char_p(FieldParams(p=2, f=3, characteristic=2)).total == 2
-        assert cyclic_mass_char_p(CHAR3).total == Fraction(9, 20)
-        with pytest.raises(ValueError):
-            cyclic_mass_char_p(Q3)
+        assert cyclic_mass(FieldParams(p=2, f=1, characteristic=2)).total == 2
+        assert cyclic_mass(FieldParams(p=2, f=3, characteristic=2)).total == 2
+        assert cyclic_mass(CHAR3).total == Fraction(9, 20)
 
     def test_zeta_totals(self):
-        assert cyclic_mass_char0_zeta(Q2).total == 2
-        assert cyclic_mass_char0_zeta(P321Z).total == Fraction(13, 27)
-        with pytest.raises(ValueError):
-            cyclic_mass_char0_zeta(Q3)
+        assert cyclic_mass(Q2).total == 2
+        assert cyclic_mass(P321Z).total == Fraction(13, 27)
 
     def test_regular_totals(self):
-        assert cyclic_mass_char0_regular(Q3).total == Fraction(1, 3)
-        assert (
-            cyclic_mass_char0_regular(FieldParams(p=3, f=1, e=2, zeta_in_field=False)).total
-            == Fraction(4, 9)
-        )
-        with pytest.raises(ValueError):
-            cyclic_mass_char0_regular(P321Z)
+        assert cyclic_mass(Q3).total == Fraction(1, 3)
+        assert cyclic_mass(FieldParams(p=3, f=1, e=2, zeta_in_field=False)).total == Fraction(4, 9)
 
     def test_dispatcher_routes_each_case(self):
-        assert cyclic_mass(Q3).total == cyclic_mass_char0_regular(Q3).total
-        assert cyclic_mass(Q2).total == cyclic_mass_char0_zeta(Q2).total
-        assert cyclic_mass(CHAR3).total == cyclic_mass_char_p(CHAR3).total
+        """Each regime gets its own rows, deepest-break term and total."""
+        regular = cyclic_mass(FieldParams(p=3, f=1, e=2, zeta_in_field=False), display_rows=5)
+        assert len(regular.per_break) == 2 and regular.tres_ramifiee is None
+        zeta = cyclic_mass(P321Z, display_rows=5)
+        assert len(zeta.per_break) == 2
+        assert zeta.tres_ramifiee == (tres_ramifiee_count(P321Z), Fraction(3, 3 ** (2 * 2)))
+        char_p = cyclic_mass(CHAR3, display_rows=5)
+        assert len(char_p.per_break) == 5 and char_p.tres_ramifiee is None
+        assert char_p.total == Fraction(3, 3) * Fraction(2, 2) * series_value(3, 3)
+        with pytest.raises(ValueError, match="display row"):
+            cyclic_mass(CHAR3, display_rows=0)
 
     def test_report_bookkeeping(self):
         rep = cyclic_mass(P321Z)
@@ -167,12 +175,8 @@ class TestClosedFormMasses:
             for k in (1, 2):
                 e = k * (p - 1)
                 for f in (1, 2):
-                    reg = cyclic_mass_char0_regular(
-                        FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                    ).total
-                    zet = cyclic_mass_char0_zeta(
-                        FieldParams(p=p, f=f, e=e, zeta_in_field=True)
-                    ).total
+                    reg = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=False)).total
+                    zet = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=True)).total
                     assert reg < zet
 
 

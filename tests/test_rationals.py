@@ -4,33 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramify.rationals import (
-    decimal_string,
-    gcd,
-    geometric_sum_finite,
-    geometric_sum_infinite,
-    rat_reduce,
-)
-
-
-def test_gcd_known_values():
-    assert gcd(0, 7) == 7
-    assert gcd(12, 18) == 6
-    assert gcd(2**40, 2**37 * 3) == 2**37
-    assert gcd(0, 0) == 0
-
-
-def test_rat_reduce_normalizes():
-    assert rat_reduce(4, -6) == Fraction(-2, 3)
-    assert rat_reduce(0, 5) == Fraction(0, 1)
-    assert rat_reduce(13, 27) == Fraction(13, 27)
-    r = rat_reduce(4, -6)
-    assert r.denominator > 0 and r.numerator == -2
-
-
-def test_rat_reduce_zero_denominator():
-    with pytest.raises(ZeroDivisionError, match="division by zero"):
-        rat_reduce(1, 0)
+from ramify.rationals import decimal_string, geometric_sum_finite, geometric_sum_infinite
 
 
 def test_geometric_sum_finite_known_values():
@@ -58,17 +32,6 @@ def test_geometric_sum_infinite_divergence_guard(x):
 rationals = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**6
 )
-
-
-@given(rationals, rationals, rationals)
-@settings(max_examples=200)
-def test_field_axioms(a, b, c):
-    """Reduced rationals behave like field elements under exact equality."""
-    a = rat_reduce(a.numerator, a.denominator)
-    b = rat_reduce(b.numerator, b.denominator)
-    c = rat_reduce(c.numerator, c.denominator)
-    assert a + b == b + a
-    assert a * (b + c) == a * b + a * c
 
 
 @given(rationals, st.integers(min_value=0, max_value=50))
