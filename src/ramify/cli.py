@@ -27,7 +27,6 @@ from .filtration import (
     different_exponent_closed,
     discriminant_exponent,
     herbrand_phi,
-    herbrand_psi,
     index_table,
     lower_filtration,
     space_model,
@@ -234,14 +233,10 @@ def _cmd_breaks(args: argparse.Namespace, out) -> int:
 
 def _cmd_herbrand(args: argparse.Namespace, out) -> int:
     params = _parse_params(args)
-    if params.characteristic == 0:
-        psi = herbrand_psi(upper_filtration(params))
-        phi = herbrand_phi(lower_filtration(params))
-    else:
-        if args.m is None:
-            raise ValueError("characteristic p needs --m to pick a finite quotient")
-        phi = herbrand_phi(lower_filtration(params, max_index=args.m))
-        psi = phi.inverse()
+    if params.characteristic != 0 and args.m is None:
+        raise ValueError("characteristic p needs --m to pick a finite quotient")
+    phi = herbrand_phi(lower_filtration(params, max_index=args.m))
+    psi = phi.inverse()
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,

@@ -408,16 +408,25 @@ def discriminant_exponent(params: FieldParams) -> int:
     return params.p * different_exponent_closed(params)
 
 
+def _check_break_index(params: FieldParams, i: int) -> None:
+    if i < 1:
+        raise ValueError("break index out of domain")
+    if params.characteristic == 0 and i > params.e:
+        raise ValueError("break index exceeds e")
+
+
+def _check_tres_ramifiee(params: FieldParams) -> None:
+    if params.characteristic != 0 or not params.zeta_in_field:
+        raise ValueError("no tres ramifiee extensions for these parameters")
+
+
 def cyclic_discriminant(params: FieldParams, break_index: int) -> tuple[int, int]:
     """(v(d), c) for a degree-p cyclic extension with break b_upper(i).
 
     v(d) = (p-1)(1 + b_upper(i)) is the discriminant exponent and
     c = v(d) - (p-1) the conductor-like companion used by the mass sums.
     """
-    if break_index < 1:
-        raise ValueError("break index out of domain")
-    if params.characteristic == 0 and break_index > params.e:
-        raise ValueError("break index exceeds e")
+    _check_break_index(params, break_index)
     b = b_upper(break_index, params.p)
     v = (params.p - 1) * (1 + b)
     return v, v - (params.p - 1)
@@ -429,8 +438,7 @@ def tres_ramifiee_discriminant(params: FieldParams) -> tuple[int, int]:
     Their break is p*e/(p-1), giving c = p*e via the same
     (p-1)(1 + break) rule.
     """
-    if params.characteristic != 0 or not params.zeta_in_field:
-        raise ValueError("no tres ramifiee extensions for these parameters")
+    _check_tres_ramifiee(params)
     top = int(params.p * params.e1)
     v = (params.p - 1) * (1 + top)
     return v, v - (params.p - 1)

@@ -25,7 +25,8 @@ from itertools import product
 from typing import Optional
 
 from .breaks import _check_prime, _check_q, prime_to_p_breaks
-from .filtration import FieldParams, break_of_line, space_model
+from .filtration import FieldParams, _check_break_index, _check_tres_ramifiee
+from .filtration import break_of_line, space_model
 from .fpspace import LINE_ENUMERATION_BOUND
 from .rationals import geometric_sum_finite
 
@@ -70,18 +71,14 @@ class MassReport:
 def lines_with_break_count(params: FieldParams, i: int) -> int:
     """Number of degree-p cyclic extensions with break b_upper(i):
     p * q^{i-1} * (q-1)/(p-1)."""
-    if i < 1:
-        raise ValueError("break index out of domain")
-    if params.characteristic == 0 and i > params.e:
-        raise ValueError("break index exceeds e")
+    _check_break_index(params, i)
     p, q = params.p, params.q
     return p * q ** (i - 1) * (q - 1) // (p - 1)
 
 
 def tres_ramifiee_count(params: FieldParams) -> int:
     """Number of deepest-break cyclic extensions (zeta in field, char 0): p*q^e."""
-    if params.characteristic != 0 or not params.zeta_in_field:
-        raise ValueError("no tres ramifiee extensions for these parameters")
+    _check_tres_ramifiee(params)
     return params.p * params.q**params.e
 
 
@@ -115,15 +112,19 @@ def cyclic_mass(params: FieldParams, display_rows: int = 16) -> MassReport:
     char_p = params.characteristic != 0
     if char_p and display_rows < 1:
         raise ValueError("need at least one display row")
+    # Row i is count / q^{(p-1)b} = unit / q^{(p-1)b-i+1}. Cancelling q^{i-1}
+    # and summing over the last row's denominator saves a big gcd per row.
+    unit = p * (q - 1) // (p - 1)
     rows = []
     for i, b in enumerate(prime_to_p_breaks(p, display_rows if char_p else params.e), start=1):
-        n = lines_with_break_count(params, i)
-        rows.append((i, b, n, Fraction(n, q ** ((p - 1) * b))))
+        contribution = Fraction(unit, q ** ((p - 1) * b - i + 1))
+        rows.append((i, b, lines_with_break_count(params, i), contribution))
     tres = None
     if char_p:
         total = Fraction(p, q) * Fraction(q - 1, p - 1) * series_value(p, q)
     else:
-        total = sum((r[3] for r in rows), Fraction(0))
+        top = (p - 1) * rows[-1][1] - len(rows) + 1
+        total = Fraction(unit * sum(q ** (top - (p - 1) * b + i - 1) for i, b, *_ in rows), q**top)
         if params.zeta_in_field:
             tres = (tres_ramifiee_count(params), Fraction(p, q ** ((p - 1) * params.e)))
             total += tres[1]
@@ -136,6 +137,12 @@ def cyclic_mass(params: FieldParams, display_rows: int = 16) -> MassReport:
     )
 
 
+def _check_odd_prime(p: int) -> None:
+    if p == 2:
+        raise ValueError("average is defined for odd p")
+    _check_prime(p)
+
+
 def average_c_cyclotomic(p: int, peu_only: bool = False) -> Fraction:
     """Average of c(L) over the cyclic degree-p extensions of Q_p(zeta_p).
 
@@ -144,9 +151,7 @@ def average_c_cyclotomic(p: int, peu_only: bool = False) -> Fraction:
     sum (p-1) i p^i / sum p^i over i in [1, p]; peu_only drops the i = p row.
     Defined for odd p.
     """
-    if p == 2:
-        raise ValueError("average is defined for odd p")
-    _check_prime(p)
+    _check_odd_prime(p)
     hi = p - 1 if peu_only else p
     num = sum((p - 1) * i * p**i for i in range(1, hi + 1))
     den = sum(p**i for i in range(1, hi + 1))
@@ -155,9 +160,7 @@ def average_c_cyclotomic(p: int, peu_only: bool = False) -> Fraction:
 
 def average_c_closed_form(p: int) -> Fraction:
     """Closed form of average_c_cyclotomic(p): (p^{p+2}-p^{p+1}-p^p+1)/(p^p-1)."""
-    if p == 2:
-        raise ValueError("average is defined for odd p")
-    _check_prime(p)
+    _check_odd_prime(p)
     return Fraction(p ** (p + 2) - p ** (p + 1) - p**p + 1, p**p - 1)
 
 

@@ -2,51 +2,44 @@
 
 Each test is one criterion and produces exactly one pass/fail line under
 pytest -v. Tolerances and runtime budgets are asserted where stated; all
-other comparisons are exact rational equality.
+other comparisons are exact rational equality. Where a criterion is a
+cross-check of ramify.verify, the gate calls that check and adds its own
+known values; every other check runs once as test_verify_check[<name>].
 """
 
-import math
 import pathlib
-import random
 import time
 from fractions import Fraction
 
-from ramify.breaks import b_lower, b_upper, c_truncation
+import pytest
+
+from ramify.breaks import b_upper, c_truncation
 from ramify.cli import run
 from ramify.filtration import (
     FieldParams,
     break_of_line,
     different_exponent_closed,
-    different_exponent_oracle,
-    dim_at_level,
-    herbrand_phi,
-    herbrand_psi,
-    lower_filtration,
-    orthogonal_index,
     space_model,
-    upper_filtration,
 )
-from ramify.fpspace import (
-    apply_idempotent,
-    convolve,
-    eigenspace,
-    enumerate_lines,
-    full_space,
-    idempotent,
-    identity_matrix,
-    mat_inverse,
-    mat_mul,
-    mat_pow,
-    multiplicative_order,
-    fp_matrix,
-)
+from ramify.fpspace import enumerate_lines, full_space
 from ramify.mass import (
-    average_c_closed_form,
     average_c_cyclotomic,
     brute_force_mass,
     cyclic_mass,
     lines_with_break_count,
     tres_ramifiee_count,
+)
+from ramify.verify import (
+    CHECKS,
+    check_average_consistency,
+    check_different_exponent,
+    check_idempotency,
+    check_mass_brute_vs_closed,
+    check_mass_monotone_in_zeta,
+    check_orthogonality,
+    check_projector_is_eigenspace,
+    check_psi_phi_inverse,
+    check_shift_eigen,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -97,31 +90,14 @@ def test_criterion_03_herbrand_consistency():
     """psi maps upper breaks to the closed-form lower breaks and phi inverts
     psi on a 50-point mesh, across the whole small-parameter grid."""
     start = time.perf_counter()
-    for p in (2, 3, 5):
-        for e in range(1, 7):
-            for f in range(1, 4):
-                for zeta in _valid_zeta_flags(p, e):
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=zeta)
-                    psi = herbrand_psi(upper_filtration(params))
-                    phi = herbrand_phi(lower_filtration(params))
-                    for i in range(1, e + 1):
-                        assert psi(Fraction(b_upper(i, p))) == b_lower(i, p, p**f)
-                    top = b_upper(e, p) + 2
-                    for k in range(50):
-                        u = Fraction(k * top, 49)
-                        assert phi(psi(u)) == u
+    check_psi_phi_inverse()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
 
 
 def test_criterion_04_different_and_discriminant():
     """Closed-form different exponent equals the order-sum oracle."""
-    for p in (3, 5, 7):
-        for e in range(1, 9):
-            for f in range(1, 4):
-                params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                closed = different_exponent_closed(params)
-                assert closed == different_exponent_oracle(lower_filtration(params))
+    check_different_exponent()
     assert different_exponent_closed(FieldParams(p=3, f=1, e=1, zeta_in_field=False)) == 4
     assert different_exponent_closed(FieldParams(p=3, f=1, e=2, zeta_in_field=False)) == 22
 
@@ -179,104 +155,36 @@ def test_criterion_05_line_counts_vs_enumeration():
 
 def test_criterion_06_brute_force_vs_closed_forms():
     """Enumerated mass equals the closed forms over the whole grid."""
-    for p in (2, 3, 5):
-        for f in (1, 2):
-            for e in range(1, 5):
-                if p != 2:
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                    assert brute_force_mass(params) == cyclic_mass(params).total
-                if e % (p - 1) == 0:
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=True)
-                    assert brute_force_mass(params) == cyclic_mass(params).total
+    check_mass_brute_vs_closed()
     q3 = FieldParams(p=3, f=1, e=1, zeta_in_field=False)
     assert brute_force_mass(q3) == Fraction(1, 3)
     q3zeta = FieldParams(p=3, f=1, e=2, zeta_in_field=True)
     assert brute_force_mass(q3zeta) == Fraction(13, 27)
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _random_rep(rng, p, m, g, dim):
-    diag = fp_matrix(
-        p,
-        [
-            [pow(g, rng.randrange(m), p) if r == c else 0 for c in range(dim)]
-            for r in range(dim)
-        ],
-    )
-    while True:
-        rows = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-        try:
-            basis = fp_matrix(p, rows)
-            inv = mat_inverse(basis)
-        except ValueError:
-            continue
-        return mat_mul(mat_mul(basis, diag), inv)
-
-
 def test_criterion_07_idempotent_suite():
     """epsilon is idempotent, the generator acts on it by omega, and the
     projector route agrees with the kernel route on 200 random reps."""
-    rng = random.Random(20260816)
-    combos = []
-    for p in (3, 5, 7, 13):
-        for m in _divisors(p - 1):
-            gens = [g for g in range(1, p) if multiplicative_order(g, p) == m]
-            for g in gens:
-                eps = idempotent(p, m, g)
-                assert convolve(eps, eps) == eps
-                tau = type(eps)(
-                    p=p, m=m, coeffs=tuple(1 if k == 1 % m else 0 for k in range(m))
-                )
-                assert convolve(tau, eps).coeffs == tuple((g * c) % p for c in eps.coeffs)
-            combos.append((p, m, gens[0]))
-    reps_per_combo = math.ceil(200 / len(combos))
-    for p, m, g in combos:
-        eps = idempotent(p, m, g)
-        for _ in range(reps_per_combo):
-            dim = rng.randrange(1, 6)
-            rep = _random_rep(rng, p, m, g, dim)
-            assert mat_pow(rep, m) == identity_matrix(p, dim)
-            assert apply_idempotent(eps, rep) == eigenspace(rep, g % p)
+    check_idempotency()
+    check_shift_eigen()
+    check_projector_is_eigenspace()
 
 
 def test_criterion_08_orthogonality_dimension_perfect():
     """At every mesh point the group piece and its orthogonal space piece
     split the full dimension: dim G^u + dim V_index = 1 + ef."""
-    for p in (3, 5, 7):
-        for e in range(1, 7):
-            for f in range(1, 4):
-                params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                upper = upper_filtration(params)
-                space = space_model(params)
-                full = 1 + e * f
-                u = Fraction(1)
-                top = b_upper(e, p)
-                while u <= top:
-                    idx = orthogonal_index(u, params)
-                    assert upper.dim_at(u) + dim_at_level(space, idx) == full
-                    u += Fraction(1, 4)
+    check_orthogonality()
 
 
 def test_criterion_09_average_discriminant():
     """The closed-form average equals the direct weighted sum; 68/13 at p=3."""
-    for p in (3, 5, 7):
-        assert average_c_cyclotomic(p) == average_c_closed_form(p)
+    check_average_consistency()
     assert average_c_cyclotomic(3) == Fraction(68, 13)
 
 
 def test_criterion_10_regular_mass_is_smaller():
     """Fields without the root of unity host a lesser cyclic mass."""
-    for p in (3, 5, 7):
-        for e in range(1, 9):
-            if e % (p - 1) != 0:
-                continue
-            for f in range(1, 4):
-                reg = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=False)).total
-                zet = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=True)).total
-                assert reg < zet
+    check_mass_monotone_in_zeta()
 
 
 def test_criterion_11_cli_golden_files():
@@ -304,3 +212,24 @@ def test_criterion_11_cli_golden_files():
         out = io.StringIO()
         assert run(argv, out=out, err=io.StringIO()) == 0
         assert out.getvalue() == (GOLDEN / fixture).read_text()
+
+
+# The checks the gates above call; each other check is a test of its own.
+GATED = {
+    check_psi_phi_inverse,
+    check_different_exponent,
+    check_mass_brute_vs_closed,
+    check_idempotency,
+    check_shift_eigen,
+    check_projector_is_eigenspace,
+    check_orthogonality,
+    check_average_consistency,
+    check_mass_monotone_in_zeta,
+}
+
+
+@pytest.mark.parametrize(
+    "check", [pytest.param(check, id=name) for name, check in CHECKS if check not in GATED]
+)
+def test_verify_check(check):
+    check()

@@ -11,7 +11,7 @@ from ramify.breaks import (
     iter_break_entries,
     prime_to_p_breaks,
 )
-from ramify.filtration import FieldParams, herbrand_psi, upper_filtration
+from ramify.filtration import FieldParams
 from ramify.fpspace import count_lines
 from ramify.mass import average_c_closed_form, series_value
 
@@ -57,15 +57,6 @@ def test_b_upper_known_values():
 def test_b_upper_coprime_to_p(p):
     for i in range(1, 200):
         assert b_upper(i, p) % p != 0
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_b_upper_bijection_onto_prime_to_p(p):
-    """i -> b_upper(i) enumerates the prime-to-p naturals in order."""
-    values = [b_upper(i, p) for i in range(1, 10001)]
-    assert values == sorted(set(values))
-    top = values[-1]
-    assert values == [n for n in range(1, top + 1) if n % p != 0]
 
 
 def test_prime_to_p_breaks_known_values():
@@ -114,19 +105,6 @@ def test_b_lower_known_values():
     assert b_lower(1, 5, 25) == 1
     assert b_lower(2, 3, 3) == 4
     assert b_lower(3, 2, 2) == 13
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("fpow", [1, 2])
-def test_b_lower_matches_transition_map(p, fpow):
-    """Closed form agrees with the piecewise-linear transition evaluated at
-    the upper breaks, for an ambient field deep enough to contain them."""
-    q = p**fpow
-    e = 30 if p > 2 else 30  # e >= i so every break is realized
-    params = FieldParams(p=p, f=fpow, e=e, zeta_in_field=(p == 2))
-    psi = herbrand_psi(upper_filtration(params))
-    for i in range(1, 31):
-        assert b_lower(i, p, q) == psi(b_upper(i, p))
 
 
 def test_c_truncation_known_values():

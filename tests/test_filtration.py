@@ -403,21 +403,6 @@ class TestOrthogonality:
         with pytest.raises(ValueError):
             orthogonal_index(Fraction(-2), P321)
 
-    def test_complementarity_grid(self):
-        """The pairing between the group and the space is dimension-perfect."""
-        for p in (3, 5):
-            for e in range(1, 5):
-                for f in range(1, 3):
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                    upper = upper_filtration(params)
-                    space = space_model(params)
-                    be = b_upper(e, p)
-                    u = Fraction(1)
-                    while u <= be:
-                        idx = orthogonal_index(u, params)
-                        assert upper.dim_at(u) + dim_at_level(space, idx) == 1 + e * f
-                        u += Fraction(1, 2)
-
 
 def test_filtered_space_validation():
     with pytest.raises(ValueError):

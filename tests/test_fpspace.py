@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from ramify.fpspace import (
@@ -15,7 +13,6 @@ from ramify.fpspace import (
     identity_matrix,
     mat_inverse,
     mat_mul,
-    mat_pow,
     multiplicative_order,
     subspace,
 )
@@ -97,14 +94,6 @@ def _divisors(n):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_idempotent_is_idempotent_all_characters(p):
-    for m in _divisors(p - 1):
-        for g in _generators_of_order(m, p):
-            eps = idempotent(p, m, g)
-            assert convolve(eps, eps) == eps
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_shift_acts_by_character_value(p):
     """Multiplying by the group generator scales the idempotent by omega."""
     for m in _divisors(p - 1):
@@ -148,33 +137,6 @@ def test_apply_idempotent_rejects_wrong_order():
     not_order_2 = fp_matrix(3, [[1, 1], [0, 1]])  # order 3
     with pytest.raises(ValueError, match="not a representation of order"):
         apply_idempotent(eps, not_order_2)
-
-
-def _random_order_m_rep(rng, p, m, g, dim):
-    """Invertible M with M^m = I: conjugate of a diagonal of m-th roots."""
-    diag_vals = [pow(g, rng.randrange(m), p) for _ in range(dim)]
-    diag = fp_matrix(p, [[diag_vals[r] if r == c else 0 for c in range(dim)] for r in range(dim)])
-    while True:
-        rows = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-        try:
-            basis = fp_matrix(p, rows)
-            inv = mat_inverse(basis)
-        except ValueError:
-            continue
-        return mat_mul(mat_mul(basis, diag), inv)
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 13])
-def test_projector_equals_eigenspace_on_random_reps(p):
-    rng = random.Random(97 * p)
-    for m in _divisors(p - 1):
-        g = _generators_of_order(m, p)[0]
-        eps = idempotent(p, m, g)
-        for _ in range(8):
-            dim = rng.randrange(1, 6)
-            rep = _random_order_m_rep(rng, p, m, g, dim)
-            assert mat_pow(rep, m) == identity_matrix(p, dim)
-            assert apply_idempotent(eps, rep) == eigenspace(rep, g % p)
 
 
 def test_subspace_canonical_under_change_of_spanning_set():

@@ -170,24 +170,11 @@ class TestClosedFormMasses:
             assert 0 < total <= params.p
             assert (total == params.p) == (params.p == 2)
 
-    def test_regular_below_zeta_at_same_parameters(self):
-        for p in (3, 5):
-            for k in (1, 2):
-                e = k * (p - 1)
-                for f in (1, 2):
-                    reg = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=False)).total
-                    zet = cyclic_mass(FieldParams(p=p, f=f, e=e, zeta_in_field=True)).total
-                    assert reg < zet
-
 
 class TestAverage:
     def test_known_value(self):
         assert average_c_cyclotomic(3) == Fraction(68, 13)
         assert average_c_closed_form(3) == Fraction(68, 13)
-
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_direct_sum_equals_closed_form(self, p):
-        assert average_c_cyclotomic(p) == average_c_closed_form(p)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_cross_multiplied_integer_identity(self, p):
@@ -232,15 +219,6 @@ class TestBruteForce:
         assert brute_force_mass(Q3) == Fraction(1, 3)
         assert brute_force_mass(Q2) == 2
         assert brute_force_mass(P321Z) == Fraction(13, 27)
-
-    def test_matches_closed_forms_small_grid(self):
-        for p, f, e in ((3, 1, 3), (3, 2, 2), (5, 1, 2), (2, 1, 4), (2, 2, 3)):
-            if p != 2:
-                params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                assert brute_force_mass(params) == cyclic_mass(params).total
-            if e % (p - 1) == 0:
-                params = FieldParams(p=p, f=f, e=e, zeta_in_field=True)
-                assert brute_force_mass(params) == cyclic_mass(params).total
 
     def test_char_p_partial_sum(self):
         level = 5
