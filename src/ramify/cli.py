@@ -14,10 +14,11 @@ stderr), 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .breaks import b_upper, break_sequence
@@ -38,6 +39,39 @@ from .rationals import decimal_string
 __all__ = ["run", "main"]
 
 SCHEMA_VERSION = "1"
+
+
+def _json(obj: Any, indent: str = "") -> str:
+    """The text of json.dumps(obj, indent=2) for the types our documents hold.
+
+    Documents hold only dict (with str keys), list, str, int, bool and None;
+    anything else, floats included, raises TypeError. Ints go through
+    int.__repr__, as in json.dumps, so an int past the interpreter's digit
+    limit raises the same ValueError. The stdlib encoder runs in pure Python
+    whenever indent is set; this writer skips its generator machinery.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [_json(v, inner) for v in obj]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _rat(x: Fraction) -> dict[str, str]:
@@ -148,7 +182,7 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
         "mass": _mass_doc(report),
     }
     if args.format == "json":
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json(doc) + "\n")
         return 0
     w = out.write
     w("field parameters\n")
@@ -222,7 +256,7 @@ def _cmd_breaks(args: argparse.Namespace, out) -> int:
                 for i, a, bu, bl in seq.entries
             ],
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json(doc) + "\n")
         return 0
     out.write(f"break table for p = {seq.p}, q = {seq.q}\n")
     out.write("    i    a(i)    b_upper    b_lower\n")
@@ -244,7 +278,7 @@ def _cmd_herbrand(args: argparse.Namespace, out) -> int:
             "psi": _herbrand_doc(psi),
             "phi": _herbrand_doc(phi),
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json(doc) + "\n")
         return 0
     for name, m in (("psi (upper -> lower)", psi), ("phi (lower -> upper)", phi)):
         pts = ", ".join(f"({x}, {y})" for x, y in m.breakpoints)
@@ -262,7 +296,7 @@ def _cmd_mass(args: argparse.Namespace, out) -> int:
             "params": _params_doc(params),
             "mass": _mass_doc(report),
         }
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(_json(doc) + "\n")
         return 0
     _write_mass_text(report, out.write)
     return 0
@@ -293,7 +327,9 @@ def _field_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args gives a fresh Namespace per call."""
     parser = argparse.ArgumentParser(
         prog="ramify",
         description="Exact ramification filtrations and degree-p mass data for local fields.",

@@ -281,8 +281,8 @@ class HerbrandMap:
             raise ValueError("need one slope per segment plus the final ray")
         if any(s <= 0 for s in self.slopes):
             raise ValueError("slopes must be positive")
-        xs = [x for x, _ in self.breakpoints]
-        if xs != sorted(xs) or len(set(xs)) != len(xs):
+        points = self.breakpoints
+        if any(a[0] >= b[0] for a, b in zip(points, points[1:])):
             raise ValueError("breakpoints must strictly increase")
 
     def __call__(self, x: Union[int, Fraction]) -> Fraction:
@@ -307,21 +307,26 @@ def _transition(
 ) -> HerbrandMap:
     """Piecewise-linear map whose slope is p^(sign * codims crossed so far).
 
-    The slope is kept as a running product, so each jump costs one
-    multiplication by p^(sign * codim) rather than a fresh power.
+    The slope is kept as the integer ratio num/den of running powers of p,
+    so each jump costs one multiplication by p^codim. y stays an int while
+    each segment's rise divides exactly, as it does for the filtrations of
+    this module; a hand-built filtration can need a Fraction.
     """
     points = [(Fraction(0), Fraction(0))]
     slopes: list[Fraction] = []
-    slope = Fraction(1)
-    x_prev, y_prev = Fraction(0), Fraction(0)
+    num = den = 1
+    x_prev = y = 0
     for loc, codim in positive_jumps:
-        x = Fraction(loc)
-        y = y_prev + slope * (x - x_prev)
-        points.append((x, y))
-        slopes.append(slope)
-        slope *= Fraction(p) ** (exponent_sign * codim)
-        x_prev, y_prev = x, y
-    slopes.append(slope)
+        rise, rem = divmod((loc - x_prev) * num, den)
+        y += rise if rem == 0 else Fraction(rem, den) + rise
+        points.append((Fraction(loc), Fraction(y)))
+        slopes.append(Fraction(num, den))
+        if exponent_sign > 0:
+            num *= p**codim
+        else:
+            den *= p**codim
+        x_prev = loc
+    slopes.append(Fraction(num, den))
     return HerbrandMap(breakpoints=tuple(points), slopes=tuple(slopes))
 
 

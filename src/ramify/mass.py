@@ -112,19 +112,27 @@ def cyclic_mass(params: FieldParams, display_rows: int = 16) -> MassReport:
     char_p = params.characteristic != 0
     if char_p and display_rows < 1:
         raise ValueError("need at least one display row")
-    # Row i is count / q^{(p-1)b} = unit / q^{(p-1)b-i+1}. Cancelling q^{i-1}
-    # and summing over the last row's denominator saves a big gcd per row.
+    # Row i is count_i / q^{(p-1)b_i} = unit / q^{k_i}, where count_i =
+    # unit * q^{i-1} and k_i = (p-1)b_i - i + 1; cancelling q^{i-1} saves a
+    # big gcd per row. The count, the denominator q^{k_i} and the Horner sum
+    # acc = sum_{j<=i} q^{k_i - k_j} each grow by one small power per row, so
+    # the characteristic-0 total is unit * acc / q^{k_e}.
     unit = p * (q - 1) // (p - 1)
     rows = []
+    count, den, acc, k = unit, 1, 0, 0
     for i, b in enumerate(prime_to_p_breaks(p, display_rows if char_p else params.e), start=1):
-        contribution = Fraction(unit, q ** ((p - 1) * b - i + 1))
-        rows.append((i, b, lines_with_break_count(params, i), contribution))
+        k_next = (p - 1) * b - i + 1
+        step = q ** (k_next - k)
+        den *= step
+        acc = acc * step + 1
+        k = k_next
+        rows.append((i, b, count, Fraction(unit, den)))
+        count *= q
     tres = None
     if char_p:
         total = Fraction(p, q) * Fraction(q - 1, p - 1) * series_value(p, q)
     else:
-        top = (p - 1) * rows[-1][1] - len(rows) + 1
-        total = Fraction(unit * sum(q ** (top - (p - 1) * b + i - 1) for i, b, *_ in rows), q**top)
+        total = Fraction(unit * acc, den)
         if params.zeta_in_field:
             tres = (tres_ramifiee_count(params), Fraction(p, q ** ((p - 1) * params.e)))
             total += tres[1]

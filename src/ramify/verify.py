@@ -54,15 +54,13 @@ def check_break_bijection() -> None:
 
 
 def check_b_lower_closed_form() -> None:
-    """The b_lower closed form agrees with psi of the ambient filtration."""
-    for p in (2, 3, 5):
-        for f in (1, 2):
-            q = p**f
-            zeta = p == 2
-            params = FieldParams(p=p, f=f, e=30, zeta_in_field=zeta)
-            psi = herbrand_psi(upper_filtration(params))
-            for i in range(1, 31):
-                assert psi(breaks.b_upper(i, p)) == breaks.b_lower(i, p, q)
+    """The b_lower closed form agrees with psi of the ambient filtration,
+    at e = 30 and for every valid char-0 field of the small grid."""
+    deep = [FieldParams(p=p, f=f, e=30, zeta_in_field=p == 2) for p in (2, 3, 5) for f in (1, 2)]
+    for params in deep + _char0_grid():
+        psi = herbrand_psi(upper_filtration(params))
+        for i in range(1, params.e + 1):
+            assert psi(breaks.b_upper(i, params.p)) == breaks.b_lower(i, params.p, params.q)
 
 
 def check_break_sequence_consistency() -> None:
@@ -188,10 +186,6 @@ def check_psi_phi_inverse() -> None:
         for k in range(50):
             x = Fraction(k * top, 49) if k else Fraction(0)
             assert phi(psi(x)) == x
-        for i in range(1, params.e + 1):
-            assert psi(breaks.b_upper(i, params.p)) == breaks.b_lower(
-                i, params.p, params.q
-            )
 
 
 def check_phi_matches_inverted_psi() -> None:

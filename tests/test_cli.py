@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import ramify.verify
-from ramify.cli import run
+from ramify.cli import _build_parser, _json, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -65,6 +65,91 @@ def test_report_matches_golden_file(argv, fixture):
     code, out, err = _run(argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / fixture).read_text()
+
+
+def _regime_flags(regime, size):
+    """--p/--e/--m flags of one regime; `size` is e, or m and --max-index."""
+    if regime == "regular":
+        return ["--p", "3", "--f", "2", "--e", str(size), "--zeta", "out"]
+    if regime == "zeta":
+        return ["--p", "2", "--f", "2", "--e", str(size), "--zeta", "in"]
+    return ["--p", "3", "--f", "2", "--char", "p", "--m", str(size), "--max-index", str(size)]
+
+
+SCHEMA_ARGVS = [
+    ["breaks", "--p", "3", "--f", "2", "--e", str(size)] for size in (1, 2, 37, 200)
+] + [
+    [sub, *_regime_flags(regime, size)]
+    for sub in ("report", "herbrand", "mass")
+    for regime in ("regular", "zeta", "charp")
+    for size in (1, 2, 37, 200)
+]
+
+
+@pytest.mark.parametrize("argv", SCHEMA_ARGVS, ids=" ".join)
+def test_json_writer_matches_stdlib_on_documents(argv):
+    code, out, err = _run(argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert _json(doc) == json.dumps(doc, indent=2) == out[:-1]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {},
+        None,
+        [True, False, None, 0, -7, ""],
+        {"empty": [], "nested": {"inner": {}, "list": [[], [1, [2]]]}},
+        "a\"b\\é",
+        {"a\"b\\é": ["\n\t\u2028", 10**50]},
+    ],
+)
+def test_json_writer_matches_stdlib_on_hand_made_documents(doc):
+    assert _json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "int key"}])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json({"x": value})
+
+
+def test_json_writer_keeps_the_digit_limit_error():
+    big = 10**5000
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps([big], indent=2)
+    with pytest.raises(ValueError) as ours:
+        _json([big])
+    assert str(ours.value) == str(stdlib.value)
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    assert _build_parser() is _build_parser()
+    charp = ["report", "--p", "3", "--f", "1", "--char", "p", "--max-index", "8"]
+    code, out, _ = _run(charp + ["--m", "5"])
+    assert code == 0 and "lower breaks: -1, 1, 4, 22, 49\n" in out
+    code, out, _ = _run(charp)
+    assert code == 0
+    assert "lower breaks: (pass --m to pick a finite quotient)\n" in out
+
+
+def test_reused_parser_gives_the_bytes_of_a_fresh_one():
+    argvs = [
+        ["breaks", "--p", "5", "--e", "6", "--format", "json"],
+        ["mass", "--p", "3", "--f", "1", "--char", "p"],
+        ["herbrand", "--p", "3", "--e", "2", "--f", "1", "--zeta", "in"],
+        ["breaks", "--p", "2", "--f", "2", "--e", "4"],
+        ["mass", "--p", "3", "--e", "2", "--zeta", "out", "--max-index", "3", "--format", "json"],
+        ["herbrand", "--p", "3", "--f", "1", "--char", "p", "--m", "5", "--format", "json"],
+        ["report", "--p", "3"],
+    ]
+    fresh = []
+    for argv in argvs:
+        _build_parser.cache_clear()
+        fresh.append(_run(argv))
+    assert [_run(argv) for argv in argvs] == fresh
 
 
 @pytest.mark.parametrize("argv,fixture", GOLDEN_CASES)

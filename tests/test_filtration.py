@@ -9,6 +9,7 @@ from ramify.filtration import (
     BELOW_BREAK_RANGE,
     FieldParams,
     FilteredSpace,
+    HerbrandMap,
     RamificationFiltration,
     break_of_line,
     cyclic_discriminant,
@@ -235,6 +236,53 @@ class TestHerbrand:
         assert psi(Fraction(2)) == 4
         assert psi(Fraction(4)) == 22
         assert phi(Fraction(22)) == 4
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FieldParams(p=5, f=2, e=800, zeta_in_field=True),
+            FieldParams(p=3, f=1, e=800, zeta_in_field=False),
+        ],
+        ids=["p5-f2-zeta", "p3-f1-regular"],
+    )
+    def test_integer_walk_matches_fraction_reference(self, params):
+        psi = herbrand_psi(upper_filtration(params))
+        assert psi == _transition_reference(upper_filtration(params), +1)
+        phi = herbrand_phi(lower_filtration(params))
+        assert phi == _transition_reference(lower_filtration(params), -1)
+        for m in (psi, phi):
+            assert all(type(v) is Fraction for point in m.breakpoints for v in point)
+
+    def test_non_integral_breakpoint_falls_back_to_fraction(self):
+        lower = RamificationFiltration(3, "lower", 3, ((-1, 1), (1, 1), (2, 1)))
+        phi = herbrand_phi(lower)
+        assert phi == _transition_reference(lower, -1)
+        assert phi.breakpoints[-1] == (2, Fraction(4, 3))
+        assert phi.slopes == (1, Fraction(1, 3), Fraction(1, 9))
+
+    def test_breakpoints_must_strictly_increase(self):
+        for xs in ((0, 2, 1), (0, 1, 1)):
+            with pytest.raises(ValueError, match="strictly increase"):
+                HerbrandMap(
+                    breakpoints=tuple((Fraction(x), Fraction(x)) for x in xs),
+                    slopes=(Fraction(1),) * 3,
+                )
+
+
+def _transition_reference(filtration, sign):
+    """The Herbrand map of a filtration, walked in Fraction arithmetic only."""
+    points = [(Fraction(0), Fraction(0))]
+    slopes = []
+    slope = Fraction(1)
+    for loc, codim in filtration.jumps:
+        if loc <= 0:
+            continue
+        x0, y0 = points[-1]
+        points.append((Fraction(loc), y0 + slope * (loc - x0)))
+        slopes.append(slope)
+        slope *= Fraction(filtration.p) ** (sign * codim)
+    slopes.append(slope)
+    return HerbrandMap(breakpoints=tuple(points), slopes=tuple(slopes))
 
 
 class TestIndexTable:
