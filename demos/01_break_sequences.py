@@ -14,10 +14,9 @@ p, f = 3, 2
 q = p**f
 
 # The first few rows of the break table for q = 9.
-seq = break_sequence(p, q, 10)
 print(f"break table, p = {p}, q = {q}")
 print("  i   a(i)  b_upper  b_lower")
-for i, a, bu, bl in seq.entries:
+for i, a, bu, bl in break_sequence(p, q, 10):
     print(f"{i:3d} {a:6d} {bu:8d}  {bl}")
 
 # b_upper enumerates the prime-to-p integers in increasing order: the gaps

@@ -8,7 +8,6 @@ checks (`ramify.verify`) cross-validate the closed forms.
 """
 
 from .breaks import (
-    BreakSequence,
     a_of,
     b_lower,
     b_upper,
@@ -60,16 +59,11 @@ from .mass import (
     serre_total_mass,
     tres_ramifiee_count,
 )
-from .rationals import (
-    decimal_string,
-    geometric_sum_finite,
-    geometric_sum_infinite,
-)
+from .rationals import decimal_string, geometric_sum_finite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakSequence",
     "FieldParams",
     "FilteredSpace",
     "FpMatrix",
@@ -99,7 +93,6 @@ __all__ = [
     "enumerate_lines",
     "fp_matrix",
     "geometric_sum_finite",
-    "geometric_sum_infinite",
     "herbrand_phi",
     "herbrand_psi",
     "idempotent",

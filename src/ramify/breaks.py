@@ -12,8 +12,6 @@ piecewise-linear map that reproduces it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "a_of",
@@ -21,9 +19,7 @@ __all__ = [
     "prime_to_p_breaks",
     "b_lower",
     "c_truncation",
-    "BreakSequence",
     "break_sequence",
-    "iter_break_entries",
 ]
 
 
@@ -92,42 +88,22 @@ def c_truncation(m: int, p: int) -> int:
     return m - m // p
 
 
-@dataclass(frozen=True)
-class BreakSequence:
-    """Tabulated break data: rows (i, a_of(i), b_upper(i), b_lower(i))."""
-
-    p: int
-    q: int
-    entries: tuple[tuple[int, int, int, int], ...]
-
-
-def iter_break_entries(p: int, q: int) -> Iterator[tuple[int, int, int, int]]:
-    """Yield (i, a_of(i), b_upper(i), b_lower(i)) for i = 1, 2, ... without end."""
+def break_sequence(p: int, q: int, count: int) -> list[tuple[int, int, int, int]]:
+    """Rows (i, a_of(i), b_upper(i), b_lower(i)) for i in [1, count]."""
+    if count < 0:
+        raise ValueError("index out of domain")
     _check_q(p, q)
-    i = 1
-    lower = 0
-    prev_upper = 0
+    rows = []
+    lower = prev_upper = 0
     step = 1  # q^(i-1)
-    while True:
+    for i in range(1, count + 1):
         a = (i - 1) // (p - 1)
         upper = i + a
         # Incremental form of the closed formula: crossing from b_upper(i-1)
         # to b_upper(i) adds one q^{i-1}-sized step per unit of upper distance,
         # which telescopes to the two-sum expression tested against b_lower.
         lower += step * (upper - prev_upper)
-        yield i, a, upper, lower
+        rows.append((i, a, upper, lower))
         prev_upper = upper
         step *= q
-        i += 1
-
-
-def break_sequence(p: int, q: int, count: int) -> BreakSequence:
-    """Materialize the first `count` rows of iter_break_entries."""
-    if count < 0:
-        raise ValueError("index out of domain")
-    rows = []
-    for row in iter_break_entries(p, q):
-        if row[0] > count:
-            break
-        rows.append(row)
-    return BreakSequence(p=p, q=q, entries=tuple(rows))
+    return rows

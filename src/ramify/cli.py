@@ -95,6 +95,19 @@ def _params_doc(params: FieldParams) -> dict[str, Any]:
     }
 
 
+def _params_text(params: FieldParams) -> list[str]:
+    """The text twin of _params_doc: the header lines of a report."""
+    lines = ["field parameters", f"  p = {params.p}  f = {params.f}  q = {params.q}"]
+    if params.characteristic != 0:
+        return lines + [f"  characteristic = {params.p} (equal characteristic)"]
+    zeta = "in" if params.zeta_in_field else "out"
+    s = f"  s = {params.s}" if params.regular else ""
+    return lines + [
+        f"  characteristic = 0  e = {params.e}  zeta {zeta}",
+        f"  e1 = {_rat_text(params.e1)}{s}",
+    ]
+
+
 def _mass_doc(report: MassReport) -> dict[str, Any]:
     return {
         "per_break": [
@@ -143,66 +156,44 @@ def _parse_params(args: argparse.Namespace) -> FieldParams:
     return params
 
 
-def _cmd_report(args: argparse.Namespace, out) -> int:
+def _cmd_report(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
     upper = upper_filtration(params, max_index=args.max_index)
-    char_p = params.characteristic != 0
-    if char_p:
-        if args.m is None:
-            lower = None
-            level = b_upper(args.max_index, params.p)
-        else:
-            lower = lower_filtration(params, max_index=args.m)
-            level = args.m
-        space = space_model(params, level=level)
-        table = None
-        different = None
-        discriminant = None
-    else:
-        lower = lower_filtration(params)
-        space = space_model(params)
-        table = index_table(params) if params.regular else None
-        different = different_exponent_closed(params) if params.regular else None
-        discriminant = discriminant_exponent(params) if params.regular else None
+    # Characteristic p has lower numbering only on the level-m quotient that
+    # --m picks; without it the space model has the breaks of `upper`.
+    lower = None if upper.truncated and args.m is None else lower_filtration(params, args.m)
+    level = args.m if lower is not None else b_upper(args.max_index, params.p)
+    space = space_model(params, level=level)
+    table = index_table(params) if params.regular else None
+    different = different_exponent_closed(params) if params.regular else None
+    discriminant = discriminant_exponent(params) if params.regular else None
     report = cyclic_mass(params, display_rows=args.max_index)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "params": _params_doc(params),
-        "upper_breaks": list(upper.locations),
-        "lower_breaks": list(lower.locations) if lower is not None else None,
-        "codimensions": list(upper.codims),
-        "index_table": (
-            None
-            if table is None
-            else [{"lo": lo, "hi": hi, "index": idx} for lo, hi, idx in table]
-        ),
-        "different_exponent": different,
-        "discriminant_exponent": discriminant,
-        "v_space": _space_doc(space),
-        "mass": _mass_doc(report),
-    }
     if args.format == "json":
-        out.write(_json(doc) + "\n")
-        return 0
-    w = out.write
-    w("field parameters\n")
-    w(f"  p = {params.p}  f = {params.f}  q = {params.q}\n")
-    if char_p:
-        w(f"  characteristic = {params.p} (equal characteristic)\n")
-    else:
-        zeta = "in" if params.zeta_in_field else "out"
-        w(f"  characteristic = 0  e = {params.e}  zeta {zeta}\n")
-        w(f"  e1 = {_rat_text(params.e1)}")
-        if params.regular:
-            w(f"  s = {params.s}")
-        w("\n")
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "params": _params_doc(params),
+            "upper_breaks": list(upper.locations),
+            "lower_breaks": list(lower.locations) if lower is not None else None,
+            "codimensions": list(upper.codims),
+            "index_table": (
+                None
+                if table is None
+                else [{"lo": lo, "hi": hi, "index": idx} for lo, hi, idx in table]
+            ),
+            "different_exponent": different,
+            "discriminant_exponent": discriminant,
+            "v_space": _space_doc(space),
+            "mass": _mass_doc(report),
+        }
+        return [_json(doc)]
+    lines = _params_text(params)
     trunc = " (truncated)" if upper.truncated else ""
-    w(f"upper breaks{trunc}: {', '.join(str(x) for x in upper.locations)}\n")
+    lines.append(f"upper breaks{trunc}: {', '.join(str(x) for x in upper.locations)}")
     if lower is not None:
-        w(f"lower breaks: {', '.join(str(x) for x in lower.locations)}\n")
+        lines.append(f"lower breaks: {', '.join(str(x) for x in lower.locations)}")
     else:
-        w("lower breaks: (pass --m to pick a finite quotient)\n")
-    w(f"codimensions: {', '.join(str(c) for c in upper.codims)}\n")
+        lines.append("lower breaks: (pass --m to pick a finite quotient)")
+    lines.append(f"codimensions: {', '.join(str(c) for c in upper.codims)}")
     if table is not None:
         rendered = []
         for lo, hi, idx in table:
@@ -212,60 +203,54 @@ def _cmd_report(args: argparse.Namespace, out) -> int:
                 rendered.append(f"[0, {hi}] -> {idx}")
             else:
                 rendered.append(f"]{lo}, {hi}] -> {idx}")
-        w("index table: " + " ; ".join(rendered) + "\n")
+        lines.append("index table: " + " ; ".join(rendered))
     if different is not None:
-        w(f"different exponent: {different}\n")
-        w(f"discriminant exponent: {discriminant}\n")
+        lines.append(f"different exponent: {different}")
+        lines.append(f"discriminant exponent: {discriminant}")
     jumps = ", ".join(f"{j}:{c}" for j, c in space.jumps)
-    w(f"space model {space.label} (dim {space.total_dim}) jumps index:codim = {jumps}\n")
-    _write_mass_text(report, w)
-    return 0
+    lines.append(f"space model {space.label} (dim {space.total_dim}) jumps index:codim = {jumps}")
+    return lines + _mass_text(report)
 
 
-def _write_mass_text(report: MassReport, w) -> None:
-    w("cyclic mass\n")
+def _mass_text(report: MassReport) -> list[str]:
+    lines = ["cyclic mass"]
     for i, b, count, contribution in report.per_break:
-        w(
+        lines.append(
             f"  break {b} (i = {i}): {count} extensions, "
-            f"contribution {_rat_text(contribution)}\n"
+            f"contribution {_rat_text(contribution)}"
         )
     if report.tres_ramifiee is not None:
         count, contribution = report.tres_ramifiee
-        w(f"  deepest break: {count} extensions, contribution {_rat_text(contribution)}\n")
+        lines.append(f"  deepest break: {count} extensions, contribution {_rat_text(contribution)}")
     char_p = report.params.characteristic != 0
     note = " (exact value of the full series)" if char_p else ""
-    w(
-        f"  total = {_rat_text(report.total)} ~ {decimal_string(report.total)}{note}\n"
-    )
-    w(f"  fraction of degree-p total: {_rat_text(report.fraction_of_serre_total)}\n")
+    lines.append(f"  total = {_rat_text(report.total)} ~ {decimal_string(report.total)}{note}")
+    lines.append(f"  fraction of degree-p total: {_rat_text(report.fraction_of_serre_total)}")
+    return lines
 
 
-def _cmd_breaks(args: argparse.Namespace, out) -> int:
+def _cmd_breaks(args: argparse.Namespace) -> list[str]:
     count = args.e if args.e is not None else args.max_index
     if count < 1:
         raise ValueError("need at least one break index")
     q = args.p**args.f
-    seq = break_sequence(args.p, q, count)
+    rows = break_sequence(args.p, q, count)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "p": seq.p,
-            "q": seq.q,
+            "p": args.p,
+            "q": q,
             "rows": [
-                {"i": i, "a": a, "b_upper": bu, "b_lower": bl}
-                for i, a, bu, bl in seq.entries
+                {"i": i, "a": a, "b_upper": bu, "b_lower": bl} for i, a, bu, bl in rows
             ],
         }
-        out.write(_json(doc) + "\n")
-        return 0
-    out.write(f"break table for p = {seq.p}, q = {seq.q}\n")
-    out.write("    i    a(i)    b_upper    b_lower\n")
-    for i, a, bu, bl in seq.entries:
-        out.write(f"{i:5d}   {a:5d}   {bu:8d}   {bl}\n")
-    return 0
+        return [_json(doc)]
+    lines = [f"break table for p = {args.p}, q = {q}", "    i    a(i)    b_upper    b_lower"]
+    lines += [f"{i:5d}   {a:5d}   {bu:8d}   {bl}" for i, a, bu, bl in rows]
+    return lines
 
 
-def _cmd_herbrand(args: argparse.Namespace, out) -> int:
+def _cmd_herbrand(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
     if params.characteristic != 0 and args.m is None:
         raise ValueError("characteristic p needs --m to pick a finite quotient")
@@ -278,16 +263,16 @@ def _cmd_herbrand(args: argparse.Namespace, out) -> int:
             "psi": _herbrand_doc(psi),
             "phi": _herbrand_doc(phi),
         }
-        out.write(_json(doc) + "\n")
-        return 0
+        return [_json(doc)]
+    lines = []
     for name, m in (("psi (upper -> lower)", psi), ("phi (lower -> upper)", phi)):
         pts = ", ".join(f"({x}, {y})" for x, y in m.breakpoints)
         slopes = ", ".join(str(s) for s in m.slopes)
-        out.write(f"{name}\n  breakpoints: {pts}\n  slopes: {slopes}\n")
-    return 0
+        lines += [name, f"  breakpoints: {pts}", f"  slopes: {slopes}"]
+    return lines
 
 
-def _cmd_mass(args: argparse.Namespace, out) -> int:
+def _cmd_mass(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
     report = cyclic_mass(params, display_rows=args.max_index)
     if args.format == "json":
@@ -296,13 +281,11 @@ def _cmd_mass(args: argparse.Namespace, out) -> int:
             "params": _params_doc(params),
             "mass": _mass_doc(report),
         }
-        out.write(_json(doc) + "\n")
-        return 0
-    _write_mass_text(report, out.write)
-    return 0
+        return [_json(doc)]
+    return _mass_text(report)
 
 
-def _cmd_verify(args: argparse.Namespace, out) -> int:
+def _cmd_verify(out) -> int:
     # Imported here so that the other subcommands do not pay for the battery.
     from . import verify as verify_mod
 
@@ -335,15 +318,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact ramification filtrations and degree-p mass data for local fields.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, with_field in (
+    for name, render, with_field in (
         ("report", _cmd_report, True),
         ("breaks", _cmd_breaks, False),
         ("herbrand", _cmd_herbrand, True),
         ("mass", _cmd_mass, True),
-        ("verify", _cmd_verify, False),
+        ("verify", None, False),
     ):
         s = sub.add_parser(name)
-        s.set_defaults(fn=fn)
+        s.set_defaults(render=render)
         if with_field:
             _field_flags(s)
         elif name == "breaks":
@@ -372,22 +355,34 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
         # argparse exits 2 on usage errors; fold those into code 1.
         return 0 if exc.code == 0 else 1
     try:
-        return args.fn(args, out)
+        if args.command == "verify":
+            return _cmd_verify(out)
+        # The whole output is rendered before its one write, so a command
+        # that fails leaves stdout empty.
+        lines = args.render(args)
+        lines.append("")
+        out.write("\n".join(lines))
+        return 0
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 
 
 def main() -> None:
-    try:
-        code = run(sys.argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early. Point stdout at devnull so that the
-        # interpreter's own flush at exit cannot raise a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        sys.exit(1)
+    # Under python -u, sys.stdout writes to a raw FileIO, and a short write to
+    # a closed pipe would silently lose the rest of the output. A buffered
+    # stream on fd 1 retries short writes until they fail with EPIPE. It is
+    # line-buffered on a terminal, so verify still streams there.
+    with open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding, closefd=False) as out:
+        try:
+            code = run(sys.argv[1:], out=out)
+            out.flush()
+        except BrokenPipeError:
+            # The reader closed stdout early. Point fd 1 at devnull so that
+            # the flush on close cannot raise a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            code = 1
     sys.exit(code)
 
 

@@ -209,6 +209,25 @@ class RamificationFiltration:
         return self.total_dim - sum(c for loc, c in self.jumps if loc < u)
 
 
+def _space_scale(params: FieldParams) -> tuple[int, int]:
+    """(s, top) of space_model, where an upper break b > 0 lands on index top - s*b.
+
+    In characteristic 0, top = p*e*s/(p-1) is the tres ramifiee break of
+    F(zeta_p); with zeta in F, s = 1 and top is F's own.
+    """
+    if params.characteristic != 0:
+        return 1, 0
+    s = params.s if params.regular else 1
+    return s, params.p * params.e * s // (params.p - 1)
+
+
+def _tres_break(params: FieldParams) -> Optional[int]:
+    """Upper break p*e/(p-1) of the tres ramifiee extensions; None without them."""
+    if params.characteristic != 0 or not params.zeta_in_field:
+        return None
+    return _space_scale(params)[1]
+
+
 def _require_char_p_bound(max_index: Optional[int]) -> int:
     if max_index is None or max_index < 1:
         raise ValueError("characteristic p needs a positive truncation index")
@@ -226,16 +245,14 @@ def upper_filtration(
     first max_index positive breaks are listed and the result is marked
     truncated.
     """
-    p, f = params.p, params.f
-    if params.characteristic == 0:
-        jumps = [(-1, 1)] + [(b, f) for b in prime_to_p_breaks(p, params.e)]
-        if params.zeta_in_field:
-            jumps.append((int(p * params.e1), 1))
-            return RamificationFiltration(p, "upper", 2 + params.e * f, tuple(jumps))
-        return RamificationFiltration(p, "upper", 1 + params.e * f, tuple(jumps))
-    n = _require_char_p_bound(max_index)
-    jumps = [(-1, 1)] + [(b, f) for b in prime_to_p_breaks(p, n)]
-    return RamificationFiltration(p, "upper", 1 + n * f, tuple(jumps), truncated=True)
+    truncated = params.characteristic != 0
+    count = _require_char_p_bound(max_index) if truncated else params.e
+    jumps = [(-1, 1)] + [(b, params.f) for b in prime_to_p_breaks(params.p, count)]
+    tres = _tres_break(params)
+    if tres is not None:
+        jumps.append((tres, 1))
+    total_dim = sum(c for _, c in jumps)
+    return RamificationFiltration(params.p, "upper", total_dim, tuple(jumps), truncated)
 
 
 def lower_filtration(
@@ -255,11 +272,12 @@ def lower_filtration(
         count = params.e
     else:
         count = c_truncation(_require_char_p_bound(max_index), p)
-    jumps = [(-1, 1)] + [(lower, f) for *_, lower in break_sequence(p, q, count).entries]
-    if params.characteristic == 0 and params.zeta_in_field:
-        jumps.append((jumps[-1][0] + q**count, 1))
-        return RamificationFiltration(p, "lower", 2 + count * f, tuple(jumps))
-    return RamificationFiltration(p, "lower", 1 + count * f, tuple(jumps))
+    rows = break_sequence(p, q, count)
+    jumps = [(-1, 1)] + [(lower, f) for *_, lower in rows]
+    tres = _tres_break(params)
+    if tres is not None:  # psi has slope q^e past b_upper(e)
+        jumps.append((rows[-1][3] + q**count * (tres - rows[-1][2]), 1))
+    return RamificationFiltration(p, "lower", sum(c for _, c in jumps), tuple(jumps))
 
 
 @dataclass(frozen=True)
@@ -420,9 +438,11 @@ def _check_break_index(params: FieldParams, i: int) -> None:
         raise ValueError("break index exceeds e")
 
 
-def _check_tres_ramifiee(params: FieldParams) -> None:
-    if params.characteristic != 0 or not params.zeta_in_field:
+def _check_tres_ramifiee(params: FieldParams) -> int:
+    tres = _tres_break(params)
+    if tres is None:
         raise ValueError("no tres ramifiee extensions for these parameters")
+    return tres
 
 
 def cyclic_discriminant(params: FieldParams, break_index: int) -> tuple[int, int]:
@@ -443,9 +463,7 @@ def tres_ramifiee_discriminant(params: FieldParams) -> tuple[int, int]:
     Their break is p*e/(p-1), giving c = p*e via the same
     (p-1)(1 + break) rule.
     """
-    _check_tres_ramifiee(params)
-    top = int(params.p * params.e1)
-    v = (params.p - 1) * (1 + top)
+    v = (params.p - 1) * (1 + _check_tres_ramifiee(params))
     return v, v - (params.p - 1)
 
 
@@ -507,13 +525,12 @@ def space_model(params: FieldParams, level: Optional[int] = None) -> FilteredSpa
         if level is not None:
             raise ValueError("level applies to characteristic p only")
         upper = upper_filtration(params)
-        s = params.s if params.regular else 1
-        top = p * params.e * s // (p - 1)
         label = V_REGULAR if params.regular else UBAR_ZETA
     else:
         count = c_truncation(_require_char_p_bound(level), p)
         upper = upper_filtration(params, max_index=count)
-        s, top, label = 1, 0, WP_CHAR_P
+        label = WP_CHAR_P
+    s, top = _space_scale(params)
     jumps = tuple((top - s * max(b, 0), codim) for b, codim in upper.jumps)
     return FilteredSpace(p=p, total_dim=upper.total_dim, label=label, jumps=jumps)
 
@@ -529,7 +546,7 @@ def break_of_line(space: FilteredSpace, index: int, params: FieldParams) -> int:
     top = space.indices[0]
     if index == top:
         return -1
-    return (top - index) // (params.s if params.regular else 1)
+    return (top - index) // _space_scale(params)[0]
 
 
 def orthogonal_index(
@@ -553,6 +570,5 @@ def orthogonal_index(
         return BELOW_BREAK_RANGE
     if u > top_break:
         return ABOVE_BREAK_RANGE
-    s = params.s
-    top = params.p * params.e * s // (params.p - 1)
+    s, top = _space_scale(params)
     return top - math.ceil(u) * s + 1

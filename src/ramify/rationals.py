@@ -11,7 +11,6 @@ from fractions import Fraction
 
 __all__ = [
     "geometric_sum_finite",
-    "geometric_sum_infinite",
     "decimal_string",
 ]
 
@@ -28,14 +27,6 @@ def geometric_sum_finite(x: Fraction | int, n: int) -> Fraction:
     if x == 1:
         return Fraction(n)
     return (1 - x**n) / (1 - x)
-
-
-def geometric_sum_infinite(x: Fraction | int) -> Fraction:
-    """Sum of x**i over all i >= 0; requires |x| < 1."""
-    x = Fraction(x)
-    if abs(x) >= 1:
-        raise ValueError("divergent series")
-    return 1 / (1 - x)
 
 
 def decimal_string(x: Fraction | int, digits: int = 30) -> str:

@@ -8,7 +8,6 @@ from ramify.breaks import (
     b_upper,
     break_sequence,
     c_truncation,
-    iter_break_entries,
     prime_to_p_breaks,
 )
 from ramify.filtration import FieldParams
@@ -84,11 +83,10 @@ def _b_lower_two_sums(i, p, q):
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_b_lower_closed_form_matches_two_sums_and_table(p, f):
     q = p**f
-    table = iter_break_entries(p, q)
-    for i in range(1, 151):
-        row = next(table)
-        assert row[0] == i
-        assert b_lower(i, p, q) == _b_lower_two_sums(i, p, q) == row[3]
+    rows = break_sequence(p, q, 150)
+    assert [row[0] for row in rows] == list(range(1, 151))
+    for i, *_, lower in rows:
+        assert b_lower(i, p, q) == _b_lower_two_sums(i, p, q) == lower
 
 
 def test_b_lower_validates_inputs():
@@ -122,14 +120,14 @@ def test_c_truncation_step_recurrence(m, p):
 
 
 def test_break_sequence_rows_consistent():
-    seq = break_sequence(3, 9, 12)
-    assert seq.p == 3 and seq.q == 9
-    for i, a, bu, bl in seq.entries:
+    rows = break_sequence(3, 9, 12)
+    assert len(rows) == 12
+    for i, a, bu, bl in rows:
         assert a == a_of(i, 3)
         assert bu == b_upper(i, 3)
         assert bl == b_lower(i, 3, 9)
-    uppers = [row[2] for row in seq.entries]
-    lowers = [row[3] for row in seq.entries]
+    uppers = [row[2] for row in rows]
+    lowers = [row[3] for row in rows]
     assert uppers == sorted(uppers) and lowers == sorted(lowers)
     assert lowers[0] == 1
 
@@ -139,9 +137,11 @@ def test_break_sequence_validates_inputs():
         break_sequence(4, 4, 3)
     with pytest.raises(ValueError, match="power of p"):
         break_sequence(3, 8, 3)
-
-
-def test_iter_break_entries_is_lazy_and_consistent():
-    it = iter_break_entries(5, 5)
-    first = [next(it) for _ in range(40)]
-    assert first == list(break_sequence(5, 5, 40).entries)
+    with pytest.raises(ValueError, match="index out of domain"):
+        break_sequence(3, 3, -1)
+    # The count is checked first; q is checked even when no row is asked for.
+    with pytest.raises(ValueError, match="index out of domain"):
+        break_sequence(4, 4, -1)
+    with pytest.raises(ValueError, match="power of p"):
+        break_sequence(3, 8, 0)
+    assert break_sequence(3, 9, 0) == []

@@ -57,6 +57,23 @@ GOLDEN_CASES = [
         ["breaks", "--p", "3", "--f", "2", "--e", "12", "--format", "json"],
         "breaks_p3_f2_e12.json",
     ),
+    # Characteristic p without --m: no lower breaks, the space model follows --max-index.
+    (
+        ["report", "--p", "3", "--f", "1", "--char", "p", "--max-index", "8"],
+        "report_p3_f1_charp_nom.txt",
+    ),
+    (
+        ["report", "--p", "3", "--f", "1", "--char", "p", "--max-index", "8", "--format", "json"],
+        "report_p3_f1_charp_nom.json",
+    ),
+    (
+        ["report", "--p", "5", "--f", "2", "--e", "4", "--zeta", "out"],
+        "report_p5_e4_f2_regular.txt",
+    ),
+    (["report", "--p", "3", "--e", "2", "--zeta", "in"], "report_p3_e2_f1_zeta.txt"),
+    (["mass", "--p", "2", "--f", "3", "--char", "p"], "mass_p2_f3_charp.txt"),
+    (["breaks", "--p", "5", "--e", "6"], "breaks_p5_f1_e6.txt"),
+    (["herbrand", "--p", "3", "--e", "2", "--zeta", "out"], "herbrand_p3_e2_f1_regular.txt"),
 ]
 
 
@@ -275,6 +292,23 @@ def test_validation_errors_exit_1_with_diagnostic(argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mass", "--p", "101", "--char", "p"],
+        ["mass", "--p", "5", "--f", "2", "--e", "800", "--zeta", "in"],
+        ["breaks", "--p", "5", "--f", "2", "--e", "3100"],
+    ],
+    ids=" ".join,
+)
+def test_failing_command_leaves_stdout_empty(argv):
+    # Each fails on an integer past the interpreter's 4300-digit limit, after
+    # thousands of rows were already rendered.
+    code, out, err = _run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_nonzero():
     code, _, _ = _run(["report"])  # missing required --p
     assert code == 1
@@ -314,17 +348,25 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.stdout == _run(argv)[1]
 
 
-def test_closed_stdout_pipe_exits_1_without_traceback():
-    # The report is about 230 kB, far more than a pipe buffers, so the
-    # writer is still writing when the reader goes away.
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_pipe_exits_1_without_traceback(fmt, unbuffered):
+    # The report is at least 230 kB, far more than a pipe buffers, so the
+    # writer is still writing when the reader goes away. PYTHONUNBUFFERED=1
+    # (python -u) must not turn the lost output into exit 0.
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    argv = ["report", "--p", "3", "--e", "400", "--zeta", "out", "--format", fmt]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ramify", "report", "--p", "3", "--e", "400", "--zeta", "out"],
+        [sys.executable, "-m", "ramify", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=SUBPROCESS_ENV,
+        env=env,
     )
     try:
-        assert proc.stdout.readline() == b"field parameters\n"
+        first_line = b"field parameters\n" if fmt == "text" else b"{\n"
+        assert proc.stdout.readline() == first_line
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
