@@ -17,6 +17,7 @@ import argparse
 import functools
 import os
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
@@ -41,13 +42,32 @@ __all__ = ["run", "main"]
 SCHEMA_VERSION = "1"
 
 
+class _Digits(str):
+    """The decimal text of an int, rendered ahead; _json writes it bare."""
+
+    __slots__ = ()
+
+
+class _Ratio:
+    """A rational whose numerator and denominator were rendered ahead as decimal texts."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: str, denominator: str) -> None:
+        self.numerator = numerator
+        self.denominator = denominator
+
+
 def _json(obj: Any, indent: str = "") -> str:
     """The text of json.dumps(obj, indent=2) for the types our documents hold.
 
-    Documents hold only dict (with str keys), list, str, int, bool and None;
-    anything else, floats included, raises TypeError. Ints go through
-    int.__repr__, as in json.dumps, so an int past the interpreter's digit
-    limit raises the same ValueError. The stdlib encoder runs in pure Python
+    Documents hold dict (with str keys), list, str, int, bool and None, plus
+    three leaf types of the schema: a Fraction or a _Ratio becomes the block
+    {"num": "<decimal>", "den": "<decimal>"}, and a _Digits is written bare,
+    as the JSON number it spells. Anything else, floats and tuples included,
+    raises TypeError. Ints and the terms of a Fraction go through int's own
+    conversion, as in json.dumps, so one past the interpreter's digit limit
+    raises the same ValueError. The stdlib encoder runs in pure Python
     whenever indent is set; this writer skips its generator machinery.
     """
     kind = type(obj)
@@ -60,6 +80,11 @@ def _json(obj: Any, indent: str = "") -> str:
     if obj is None:
         return "null"
     inner = indent + "  "
+    if kind is Fraction or kind is _Ratio:
+        num, den = obj.numerator, obj.denominator
+        return f'{{\n{inner}"num": "{num}",\n{inner}"den": "{den}"\n{indent}}}'
+    if kind is _Digits:
+        return obj
     sep = ",\n" + inner
     if kind is list:
         if not obj:
@@ -74,12 +99,47 @@ def _json(obj: Any, indent: str = "") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _rat(x: Fraction) -> dict[str, str]:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 def _rat_text(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+# Exact decimal arithmetic: any result that would need rounding raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+# Below about 300 digits (1000 bits) str(int) is faster than the Decimal route.
+_TWIN_BITS = 1000
+
+
+def _digit_column(values: Sequence[int]) -> list[str]:
+    """str(v) for each v, in time linear in the digits along chains of small factors.
+
+    str(int) is quadratic in the digits on CPython 3.11; str(Decimal) is
+    linear. Once a value passes _TWIN_BITS, it gets an exact Decimal twin.
+    While each next v is the value before it times a positive int, the twin
+    is multiplied by that quotient (a divmod with a small quotient is linear
+    too) and printed. Any other v goes through str(). A text longer
+    than a nonzero sys.get_int_max_str_digits() is handed to str() on the
+    int itself, which raises the interpreter's own ValueError, so the digit
+    limit holds exactly as for str().
+    """
+    limit = sys.get_int_max_str_digits()
+    texts = []
+    prev = twin = None
+    for v in values:
+        if twin is not None:
+            step, rest = divmod(v, prev)
+            if rest == 0 and step > 0:
+                twin = _EXACT.multiply(twin, step)
+                text = str(twin)
+                if limit and len(text) > limit:
+                    str(v)
+                texts.append(text)
+                prev = v
+                continue
+        text = str(v)
+        twin = Decimal(text) if v.bit_length() > _TWIN_BITS else None
+        texts.append(text)
+        prev = v
+    return texts
 
 
 def _params_doc(params: FieldParams) -> dict[str, Any]:
@@ -90,7 +150,7 @@ def _params_doc(params: FieldParams) -> dict[str, Any]:
         "characteristic": params.characteristic,
         "e": params.e,
         "zeta_in_field": params.zeta_in_field,
-        "e1": _rat(params.e1) if params.characteristic == 0 else None,
+        "e1": params.e1 if params.characteristic == 0 else None,
         "s": params.s if params.regular else None,
     }
 
@@ -108,22 +168,36 @@ def _params_text(params: FieldParams) -> list[str]:
     ]
 
 
+def _mass_columns(report: MassReport) -> tuple[list[str], list[str], list[str]]:
+    """Decimal texts of the per-break counts, numerators and denominators.
+
+    Row to row the count grows by q and the contribution's denominator by a
+    small power of q, so _digit_column renders each column in linear time.
+    """
+    rows = report.per_break
+    return (
+        _digit_column([row[2] for row in rows]),
+        _digit_column([row[3].numerator for row in rows]),
+        _digit_column([row[3].denominator for row in rows]),
+    )
+
+
 def _mass_doc(report: MassReport) -> dict[str, Any]:
     return {
         "per_break": [
-            {"i": i, "b_upper": b, "count": count, "contribution": _rat(contribution)}
-            for i, b, count, contribution in report.per_break
+            {"i": i, "b_upper": b, "count": _Digits(count), "contribution": _Ratio(num, den)}
+            for (i, b, _, _), count, num, den in zip(report.per_break, *_mass_columns(report))
         ],
         "tres_ramifiee": (
             None
             if report.tres_ramifiee is None
             else {
                 "count": report.tres_ramifiee[0],
-                "contribution": _rat(report.tres_ramifiee[1]),
+                "contribution": report.tres_ramifiee[1],
             }
         ),
-        "total": _rat(report.total),
-        "fraction_of_serre_total": _rat(report.fraction_of_serre_total),
+        "total": report.total,
+        "fraction_of_serre_total": report.fraction_of_serre_total,
     }
 
 
@@ -137,8 +211,8 @@ def _space_doc(space) -> dict[str, Any]:
 
 def _herbrand_doc(m: HerbrandMap) -> dict[str, Any]:
     return {
-        "breakpoints": [{"x": _rat(x), "y": _rat(y)} for x, y in m.breakpoints],
-        "slopes": [_rat(s) for s in m.slopes],
+        "breakpoints": [{"x": x, "y": y} for x, y in m.breakpoints],
+        "slopes": list(m.slopes),
     }
 
 
@@ -214,11 +288,8 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
 
 def _mass_text(report: MassReport) -> list[str]:
     lines = ["cyclic mass"]
-    for i, b, count, contribution in report.per_break:
-        lines.append(
-            f"  break {b} (i = {i}): {count} extensions, "
-            f"contribution {_rat_text(contribution)}"
-        )
+    for (i, b, _, _), count, num, den in zip(report.per_break, *_mass_columns(report)):
+        lines.append(f"  break {b} (i = {i}): {count} extensions, contribution {num}/{den}")
     if report.tres_ramifiee is not None:
         count, contribution = report.tres_ramifiee
         lines.append(f"  deepest break: {count} extensions, contribution {_rat_text(contribution)}")
@@ -233,7 +304,7 @@ def _cmd_breaks(args: argparse.Namespace) -> list[str]:
     count = args.e if args.e is not None else args.max_index
     if count < 1:
         raise ValueError("need at least one break index")
-    q = args.p**args.f
+    q = FieldParams(p=args.p, f=args.f, characteristic=args.p).q
     rows = break_sequence(args.p, q, count)
     if args.format == "json":
         doc = {

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 import ramify.verify
-from ramify.cli import _build_parser, _json, run
+from ramify.cli import _build_parser, _digit_column, _json, run
+from ramify.filtration import FieldParams
+from ramify.mass import cyclic_mass
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -100,6 +102,15 @@ SCHEMA_ARGVS = [
     for sub in ("report", "herbrand", "mass")
     for regime in ("regular", "zeta", "charp")
     for size in (1, 2, 37, 200)
+] + [
+    # p = 5, f = 2 near the 4300-digit limit, where the mass rows have the most digits.
+    [sub, "--p", "5", "--f", "2", *flags]
+    for sub in ("report", "mass")
+    for flags in (
+        ["--e", "760", "--zeta", "out"],
+        ["--e", "760", "--zeta", "in"],
+        ["--char", "p", "--m", "700", "--max-index", "700"],
+    )
 ]
 
 
@@ -125,6 +136,56 @@ def test_json_writer_matches_stdlib_on_documents(argv):
 )
 def test_json_writer_matches_stdlib_on_hand_made_documents(doc):
     assert _json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("sub", ["report", "mass"])
+@pytest.mark.parametrize(
+    "flags,params",
+    [
+        (["--e", "760", "--zeta", "out"], FieldParams(p=5, f=2, e=760, zeta_in_field=False)),
+        (["--e", "760", "--zeta", "in"], FieldParams(p=5, f=2, e=760, zeta_in_field=True)),
+        (["--char", "p", "--m", "700", "--max-index", "700"],
+         FieldParams(p=5, f=2, characteristic=5)),
+        # The last row's denominator has exactly 4300 digits, the most the limit allows.
+        (["--char", "p", "--m", "769", "--max-index", "769"],
+         FieldParams(p=5, f=2, characteristic=5)),
+    ],
+    ids=["e760 zeta out", "e760 zeta in", "char p m700", "char p m769"],
+)
+def test_text_mass_rows_equal_str_of_the_rows(sub, flags, params):
+    code, out, err = _run([sub, "--p", "5", "--f", "2", *flags])
+    assert code == 0 and err == ""
+    rows = [line for line in out.splitlines() if line.startswith("  break ")]
+    display_rows = int(flags[-1]) if params.characteristic else 16
+    expected = [
+        f"  break {b} (i = {i}): {str(count)} extensions, "
+        f"contribution {str(c.numerator)}/{str(c.denominator)}"
+        for i, b, count, c in cyclic_mass(params, display_rows=display_rows).per_break
+    ]
+    assert rows == expected
+
+
+@pytest.fixture
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_digit_column_equals_str_past_10000_digits(no_digit_limit):
+    rows = cyclic_mass(FieldParams(p=5, f=2, e=1900, zeta_in_field=False)).per_break[-100:]
+    columns = [
+        [count for _, _, count, _ in rows],
+        [c.denominator for _, _, _, c in rows],
+        # Small values, zeros and values that are no multiple of the one before
+        # go through str(); big negative chains keep a twin too.
+        [0, 5, 5, 10, 3, -6, -12, 0, 7**13000, 7**13001, 7**13001 + 1, 1,
+         -(7**13000), -(7**13002)],
+    ]
+    assert len(str(columns[1][-1])) > 10_000
+    for values in columns:
+        assert _digit_column(values) == [str(v) for v in values]
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "int key"}])
@@ -283,6 +344,8 @@ def test_herbrand_char_p_needs_m():
          "positive truncation index"),
         (["herbrand", "--p", "3", "--f", "1", "--char", "p", "--m", "0"],
          "positive truncation index"),
+        (["breaks", "--p", "3", "--f", "0", "--e", "2"], "f must be a positive integer"),
+        (["breaks", "--p", "3", "--f", "-2", "--e", "2"], "f must be a positive integer"),
     ],
 )
 def test_validation_errors_exit_1_with_diagnostic(argv, needle):
@@ -307,6 +370,28 @@ def test_failing_command_leaves_stdout_empty(argv):
     code, out, err = _run(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _digit_limit_message():
+    with pytest.raises(ValueError) as exc:
+        str(25**3200)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mass", "--p", "5", "--f", "2", "--char", "p", "--max-index", "770"],
+        ["mass", "--p", "5", "--f", "2", "--e", "797", "--zeta", "out"],
+        ["report", "--p", "5", "--f", "2", "--e", "800", "--zeta", "in"],
+    ],
+    ids=" ".join,
+)
+def test_row_past_the_digit_limit_fails_with_the_interpreters_message(argv, fmt):
+    code, out, err = _run(argv + ["--format", fmt])
+    assert code == 1 and out == ""
+    assert err == "error: " + _digit_limit_message() + "\n"
 
 
 def test_usage_error_exits_nonzero():
