@@ -56,7 +56,6 @@ from .mass import (
     cyclic_mass,
     lines_with_break_count,
     series_value,
-    serre_total_mass,
     tres_ramifiee_count,
 )
 from .rationals import decimal_string, geometric_sum_finite
@@ -103,7 +102,6 @@ __all__ = [
     "orthogonal_index",
     "prime_to_p_breaks",
     "series_value",
-    "serre_total_mass",
     "space_model",
     "splitting_data",
     "subspace",

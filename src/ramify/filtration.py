@@ -172,15 +172,14 @@ class RamificationFiltration:
 
     jumps is ordered by location; (location, codim) means the group drops by
     a factor of p^codim as the numbering crosses the location (the group AT
-    a break is still the larger one). total_dim is the F_p-dimension of G
-    and equals the sum of the codims, except that truncated filtrations only
-    model an initial stretch of an infinite group, in which case total_dim
+    a break is still the larger one). The total_dim property, the sum of
+    the codims, is the F_p-dimension of G, except that truncated filtrations
+    only model an initial stretch of an infinite group, in which case it
     covers just the listed jumps.
     """
 
     p: int
     numbering: str
-    total_dim: int
     jumps: tuple[tuple[int, int], ...]
     truncated: bool = False
 
@@ -193,8 +192,10 @@ class RamificationFiltration:
             raise ValueError("jump locations must strictly increase")
         if any(c < 1 for _, c in self.jumps):
             raise ValueError("codimensions must be positive")
-        if sum(c for _, c in self.jumps) != self.total_dim:
-            raise ValueError("codimensions must account for total_dim")
+
+    @property
+    def total_dim(self) -> int:
+        return sum(c for _, c in self.jumps)
 
     @property
     def locations(self) -> tuple[int, ...]:
@@ -206,7 +207,7 @@ class RamificationFiltration:
 
     def dim_at(self, u: Union[int, Fraction]) -> int:
         """F_p-dimension of the filtration member at numbering value u."""
-        return self.total_dim - sum(c for loc, c in self.jumps if loc < u)
+        return sum(c for loc, c in self.jumps if loc >= u)
 
 
 def _space_scale(params: FieldParams) -> tuple[int, int]:
@@ -251,8 +252,7 @@ def upper_filtration(
     tres = _tres_break(params)
     if tres is not None:
         jumps.append((tres, 1))
-    total_dim = sum(c for _, c in jumps)
-    return RamificationFiltration(params.p, "upper", total_dim, tuple(jumps), truncated)
+    return RamificationFiltration(params.p, "upper", tuple(jumps), truncated)
 
 
 def lower_filtration(
@@ -277,7 +277,7 @@ def lower_filtration(
     tres = _tres_break(params)
     if tres is not None:  # psi has slope q^e past b_upper(e)
         jumps.append((rows[-1][3] + q**count * (tres - rows[-1][2]), 1))
-    return RamificationFiltration(p, "lower", sum(c for _, c in jumps), tuple(jumps))
+    return RamificationFiltration(p, "lower", tuple(jumps))
 
 
 @dataclass(frozen=True)
@@ -287,6 +287,11 @@ class HerbrandMap:
     breakpoints[0] is (0, 0); slopes[i] applies between breakpoints i and
     i+1, and slopes[-1] extends beyond the last breakpoint. All values are
     Fractions.
+
+    The interior slopes restate the breakpoints, and nothing cross-checks
+    the two. They are stored anyway: deriving them costs as much as building
+    the whole map (7.4 against 7.0 ms at p=5, f=2, e=800, zeta in; Python
+    3.11 on a 2-CPU Xeon), and the herbrand command prints two maps.
     """
 
     breakpoints: tuple[tuple[Fraction, Fraction], ...]
@@ -406,15 +411,13 @@ def different_exponent_oracle(lower: RamificationFiltration) -> int:
     p = lower.p
     total = 0
     prev_loc: Optional[int] = None
-    crossed = 0
+    dim = lower.total_dim
     for loc, codim in lower.jumps:
         start = 0 if prev_loc is None else max(0, prev_loc + 1)
         if loc >= start:
-            count = loc - start + 1
-            dim = lower.total_dim - crossed
-            total += count * (p**dim - 1)
+            total += (loc - start + 1) * (p**dim - 1)
         prev_loc = loc
-        crossed += codim
+        dim -= codim
     return total
 
 
@@ -474,11 +477,10 @@ class FilteredSpace:
     jumps is ordered by strictly decreasing index; (index, codim) means the
     space at that index gains `codim` dimensions over the next deeper level.
     The member at index j therefore has dimension sum of codims at indices
-    >= j (see dim_at_level). label names which of the three models this is.
+    >= j (see dim_at_level), and the total_dim property is the sum of all
+    codims. label names which of the three models this is.
     """
 
-    p: int
-    total_dim: int
     label: str
     jumps: tuple[tuple[int, int], ...]
 
@@ -488,8 +490,12 @@ class FilteredSpace:
         idxs = [j for j, _ in self.jumps]
         if idxs != sorted(idxs, reverse=True) or len(set(idxs)) != len(idxs):
             raise ValueError("jump indices must strictly decrease")
-        if sum(c for _, c in self.jumps) != self.total_dim:
-            raise ValueError("codimensions must account for total_dim")
+        if any(c < 1 for _, c in self.jumps):
+            raise ValueError("codimensions must be positive")
+
+    @property
+    def total_dim(self) -> int:
+        return sum(c for _, c in self.jumps)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -520,19 +526,18 @@ def space_model(params: FieldParams, level: Optional[int] = None) -> FilteredSpa
       since the full space is infinite-dimensional, and is rejected in
       characteristic 0.
     """
-    p = params.p
     if params.characteristic == 0:
         if level is not None:
             raise ValueError("level applies to characteristic p only")
         upper = upper_filtration(params)
         label = V_REGULAR if params.regular else UBAR_ZETA
     else:
-        count = c_truncation(_require_char_p_bound(level), p)
+        count = c_truncation(_require_char_p_bound(level), params.p)
         upper = upper_filtration(params, max_index=count)
         label = WP_CHAR_P
     s, top = _space_scale(params)
     jumps = tuple((top - s * max(b, 0), codim) for b, codim in upper.jumps)
-    return FilteredSpace(p=p, total_dim=upper.total_dim, label=label, jumps=jumps)
+    return FilteredSpace(label=label, jumps=jumps)
 
 
 def break_of_line(space: FilteredSpace, index: int, params: FieldParams) -> int:

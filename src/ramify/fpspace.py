@@ -232,8 +232,11 @@ class GroupAlgebraElement:
     """Element sum coeffs[k] tau^k of F_p[C_m], tau a fixed generator of C_m."""
 
     p: int
-    m: int
     coeffs: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.coeffs)
 
 
 def idempotent(p: int, m: int, omega_gen: int) -> GroupAlgebraElement:
@@ -254,7 +257,7 @@ def idempotent(p: int, m: int, omega_gen: int) -> GroupAlgebraElement:
     for _ in range(m):
         coeffs.append((m_inv * acc) % p)
         acc = (acc * w_inv) % p
-    return GroupAlgebraElement(p=p, m=m, coeffs=tuple(coeffs))
+    return GroupAlgebraElement(p=p, coeffs=tuple(coeffs))
 
 
 def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -268,7 +271,7 @@ def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElem
             continue
         for j, yj in enumerate(y.coeffs):
             out[(i + j) % m] = (out[(i + j) % m] + xi * yj) % p
-    return GroupAlgebraElement(p=p, m=m, coeffs=tuple(out))
+    return GroupAlgebraElement(p=p, coeffs=tuple(out))
 
 
 def eigenspace(rep_gen: FpMatrix, lam: int) -> FpSubspace:
@@ -306,10 +309,9 @@ def apply_idempotent(eps: GroupAlgebraElement, rep_gen: FpMatrix) -> FpSubspace:
     if rep_gen.rows != rep_gen.cols:
         raise ValueError("matrix must be square")
     n, p = rep_gen.rows, rep_gen.p
-    if mat_pow(rep_gen, eps.m) != identity_matrix(p, n):
-        raise ValueError("not a representation of order m")
+    identity = identity_matrix(p, n)
     total = [[0] * n for _ in range(n)]
-    power = identity_matrix(p, n)
+    power = identity
     for c in eps.coeffs:
         if c:
             for i in range(n):
@@ -317,5 +319,7 @@ def apply_idempotent(eps: GroupAlgebraElement, rep_gen: FpMatrix) -> FpSubspace:
                 for j in range(n):
                     total[i][j] = (total[i][j] + c * row[j]) % p
         power = mat_mul(power, rep_gen)
+    if power != identity:  # power is now rep_gen^m
+        raise ValueError("not a representation of order m")
     columns = [[total[i][j] for i in range(n)] for j in range(n)]
     return subspace(p, n, columns)

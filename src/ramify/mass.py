@@ -13,8 +13,8 @@ rational arithmetic, for the three parameter regimes of module filtration:
   series_value.
 
 cyclic_mass is the one closed form over all three regimes. It is paired with
-brute_force_mass, an independent oracle that enumerates the lines of
-filtration.space_model and adds q^{-c} line by line.
+brute_force_mass, an independent oracle that walks the lines of
+filtration.space_model by their supports and adds q^{-c} per line.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ __all__ = [
     "average_c_cyclotomic",
     "average_c_closed_form",
     "brute_force_mass",
-    "serre_total_mass",
 ]
-
-
-def serre_total_mass(p: int) -> Fraction:
-    """Total mass of all separable degree-p extensions, cyclic or not: p."""
-    return Fraction(p)
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,11 @@ class MassReport:
     per_break: tuple[tuple[int, int, int, Fraction], ...]
     tres_ramifiee: Optional[tuple[int, Fraction]]
     total: Fraction
-    fraction_of_serre_total: Fraction
+
+    @property
+    def fraction_of_serre_total(self) -> Fraction:
+        """total over Serre's mass p of all separable degree-p extensions."""
+        return self.total / self.params.p
 
 
 def lines_with_break_count(params: FieldParams, i: int) -> int:
@@ -136,13 +134,7 @@ def cyclic_mass(params: FieldParams, display_rows: int = 16) -> MassReport:
         if params.zeta_in_field:
             tres = (tres_ramifiee_count(params), Fraction(p, q ** ((p - 1) * params.e)))
             total += tres[1]
-    return MassReport(
-        params=params,
-        per_break=tuple(rows),
-        tres_ramifiee=tres,
-        total=total,
-        fraction_of_serre_total=total / serre_total_mass(p),
-    )
+    return MassReport(params=params, per_break=tuple(rows), tres_ramifiee=tres, total=total)
 
 
 def _check_odd_prime(p: int) -> None:
@@ -177,9 +169,12 @@ def brute_force_mass(
 ) -> Fraction:
     """Oracle: enumerate the lines of the filtered-space model and sum q^{-c}.
 
-    Walks every line of the model space exactly once (canonical
-    representatives), reads off each line's depth, converts it to a break
-    via break_of_line, and adds q^{-(p-1)*break} for the ramified ones.
+    A line's depth depends only on which coordinates of its canonical
+    representative (first nonzero coordinate 1) are nonzero. So the oracle
+    walks, for each lead coordinate, every 0/1 support mask of the tail,
+    which stands for (p-1)^popcount lines of the same depth: 2^dim steps
+    instead of p^dim. It reads off each support's depth, converts it to a
+    break via break_of_line, and adds q^{-(p-1)*break} per ramified line.
     Exercises the line-counting combinatorics rather than assuming it.
 
     In characteristic p the full space is infinite, so char_p_level (the
@@ -204,15 +199,15 @@ def brute_force_mass(
         contribution_at[idx] = (
             Fraction(0) if brk == -1 else Fraction(1, q ** ((p - 1) * brk))
         )
-    total = Fraction(0)
-    # Canonical line representatives: first nonzero coordinate equals 1.
+    lines_at = dict.fromkeys(space.indices, 0)
+    weight = [(p - 1) ** k for k in range(dim)]
     for lead in range(dim):
         lead_idx = coord_index[lead]
         tail_indices = coord_index[lead + 1 :]
-        for tail in product(range(p), repeat=dim - lead - 1):
+        for support in product((0, 1), repeat=dim - lead - 1):
             depth_idx = lead_idx
-            for c, idx in zip(tail, tail_indices):
+            for c, idx in zip(support, tail_indices):
                 if c and idx < depth_idx:
                     depth_idx = idx
-            total += contribution_at[depth_idx]
-    return total
+            lines_at[depth_idx] += weight[sum(support)]
+    return sum((n * contribution_at[idx] for idx, n in lines_at.items()), Fraction(0))

@@ -46,6 +46,40 @@ def _char0_grid(ps=(2, 3, 5), es=range(1, 7), fs=range(1, 4)):
     return out
 
 
+def _regular_grid(es, fs):
+    """The regular (zeta_p not in F) fields with p in {3, 5, 7} over the given ranges."""
+    return [FieldParams(p=p, f=f, e=e, zeta_in_field=False) for p in (3, 5, 7) for e in es for f in fs]
+
+
+def _mass_char0_grid():
+    """The characteristic-0 fields of the mass checks."""
+    return _char0_grid(es=range(1, 5), fs=(1, 2))
+
+
+def _char_p_levels():
+    """(field, level m) of the characteristic-p partial-sum check."""
+    for p, f in ((2, 1), (2, 2), (3, 1), (5, 1)):
+        for m in (3, 7, 11):
+            yield FieldParams(p=p, f=f, characteristic=p), m
+
+
+def _enumerable(params: FieldParams, level=None) -> bool:
+    """Whether brute_force_mass accepts the space model of these fields."""
+    dim = space_model(params, level).total_dim
+    return params.p**dim <= fpspace.LINE_ENUMERATION_BOUND
+
+
+def _characters():
+    """(p, m, w): p in {3, 5, 7, 13}, every m | p - 1, every w of order m mod p."""
+    for p in (3, 5, 7, 13):
+        for m in range(1, p):
+            if (p - 1) % m:
+                continue
+            for w in range(1, p):
+                if fpspace.multiplicative_order(w, p) == m:
+                    yield p, m, w
+
+
 def check_break_bijection() -> None:
     """b_upper enumerates exactly the prime-to-p positive integers, in order."""
     for p in (2, 3, 5, 7):
@@ -100,30 +134,18 @@ def check_geometric_identities() -> None:
 
 def check_idempotency() -> None:
     """eps * eps = eps for every p in {3,5,7,13}, every m | p-1, every character."""
-    for p in (3, 5, 7, 13):
-        for m in range(1, p):
-            if (p - 1) % m:
-                continue
-            for w in range(1, p):
-                if fpspace.multiplicative_order(w, p) != m:
-                    continue
-                eps = fpspace.idempotent(p, m, w)
-                assert fpspace.convolve(eps, eps) == eps
+    for p, m, w in _characters():
+        eps = fpspace.idempotent(p, m, w)
+        assert fpspace.convolve(eps, eps) == eps
 
 
 def check_shift_eigen() -> None:
     """Multiplying eps by the group generator scales it by omega(generator)."""
-    for p in (3, 5, 7, 13):
-        for m in range(1, p):
-            if (p - 1) % m:
-                continue
-            for w in range(1, p):
-                if fpspace.multiplicative_order(w, p) != m:
-                    continue
-                eps = fpspace.idempotent(p, m, w)
-                shifted = eps.coeffs[-1:] + eps.coeffs[:-1]
-                scaled = tuple((w * c) % p for c in eps.coeffs)
-                assert shifted == scaled
+    for p, m, w in _characters():
+        eps = fpspace.idempotent(p, m, w)
+        shifted = eps.coeffs[-1:] + eps.coeffs[:-1]
+        scaled = tuple((w * c) % p for c in eps.coeffs)
+        assert shifted == scaled
 
 
 def _random_rep(
@@ -143,17 +165,11 @@ def _random_rep(
 def check_projector_is_eigenspace() -> None:
     """apply_idempotent lands on eigenspace(M, omega_gen) for random reps."""
     rng = random.Random(1729)
-    combos = []
-    for p in (3, 5, 7, 13):
-        for m in range(1, p):
-            if (p - 1) % m:
-                continue
-            w = next(
-                w for w in range(1, p) if fpspace.multiplicative_order(w, p) == m
-            )
-            combos.append((p, m, w))
-    reps_per_combo = -(-200 // len(combos))  # ceil; at least 200 total
-    for p, m, w in combos:
+    first_w: dict[tuple[int, int], int] = {}
+    for p, m, w in _characters():
+        first_w.setdefault((p, m), w)
+    reps_per_combo = -(-200 // len(first_w))  # ceil; at least 200 total
+    for (p, m), w in first_w.items():
         eps = fpspace.idempotent(p, m, w)
         for _ in range(reps_per_combo):
             n = rng.randint(1, 5)
@@ -193,13 +209,9 @@ def check_phi_matches_inverted_psi() -> None:
 
 def check_different_exponent() -> None:
     """Closed form = lower-numbering summation oracle on the regular grid."""
-    for p in (3, 5, 7):
-        for e in range(1, 9):
-            for f in range(1, 4):
-                params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                closed = different_exponent_closed(params)
-                oracle = different_exponent_oracle(lower_filtration(params))
-                assert closed == oracle
+    for params in _regular_grid(es=range(1, 9), fs=range(1, 4)):
+        closed = different_exponent_closed(params)
+        assert closed == different_exponent_oracle(lower_filtration(params))
 
 
 def check_dimension_bookkeeping() -> None:
@@ -226,104 +238,77 @@ def check_upper_jumps_avoid_p() -> None:
 
 def check_index_table() -> None:
     """Index table matches the filtration's own dim_at on interval samples."""
-    for p in (3, 5, 7):
-        for e in range(1, 7):
-            for f in range(1, 3):
-                params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                up = upper_filtration(params)
-                inertia_dim = up.dim_at(Fraction(1, 2))
-                for lo, hi, index in index_table(params):
-                    # The group AT a break is the larger one, so hi probes
-                    # the half-open interval ]lo, hi] correctly.
-                    probe = Fraction(hi) if hi is not None else Fraction(lo + 1)
-                    dim = up.dim_at(probe)
-                    assert p ** (inertia_dim - dim) == index
+    for params in _regular_grid(es=range(1, 7), fs=range(1, 3)):
+        up = upper_filtration(params)
+        inertia_dim = up.dim_at(Fraction(1, 2))
+        for lo, hi, index in index_table(params):
+            # The group AT a break is the larger one, so hi probes
+            # the half-open interval ]lo, hi] correctly.
+            probe = Fraction(hi) if hi is not None else Fraction(lo + 1)
+            assert params.p ** (inertia_dim - up.dim_at(probe)) == index
 
 
 def check_orthogonality() -> None:
     """Annihilator dimensions complement subgroup dimensions exactly."""
-    for p in (3, 5, 7):
-        for e in range(1, 7):
-            for f in range(1, 4):
-                params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                up = upper_filtration(params)
-                space = space_model(params)
-                top_break = breaks.b_upper(e, p)
-                mesh = [1 + Fraction(k * (top_break - 1), 19) for k in range(20)]
-                mesh += [Fraction(k, 4) for k in range(4, 4 * top_break + 1)]
-                for u in mesh:
-                    idx = orthogonal_index(u, params)
-                    assert isinstance(idx, int)
-                    assert up.dim_at(u) + dim_at_level(space, idx) == 1 + e * f
-                assert orthogonal_index(Fraction(1, 2), params) == BELOW_BREAK_RANGE
-                assert orthogonal_index(top_break + 1, params) == ABOVE_BREAK_RANGE
+    for params in _regular_grid(es=range(1, 7), fs=range(1, 4)):
+        up = upper_filtration(params)
+        space = space_model(params)
+        top_break = breaks.b_upper(params.e, params.p)
+        mesh = [1 + Fraction(k * (top_break - 1), 19) for k in range(20)]
+        mesh += [Fraction(k, 4) for k in range(4, 4 * top_break + 1)]
+        for u in mesh:
+            idx = orthogonal_index(u, params)
+            assert isinstance(idx, int)
+            assert up.dim_at(u) + dim_at_level(space, idx) == 1 + params.e * params.f
+        assert orthogonal_index(Fraction(1, 2), params) == BELOW_BREAK_RANGE
+        assert orthogonal_index(top_break + 1, params) == ABOVE_BREAK_RANGE
 
 
 def check_mass_brute_vs_closed() -> None:
     """Enumerated mass equals the closed forms on the full small grid."""
-    for p in (2, 3, 5):
-        for f in (1, 2):
-            for e in range(1, 5):
-                if p != 2:
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                    assert mass.brute_force_mass(params) == mass.cyclic_mass(params).total
-                if e % (p - 1) == 0:
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=True)
-                    if p ** (2 + e * f) <= fpspace.LINE_ENUMERATION_BOUND:
-                        assert (
-                            mass.brute_force_mass(params)
-                            == mass.cyclic_mass(params).total
-                        )
+    for params in _mass_char0_grid():
+        if _enumerable(params):
+            assert mass.brute_force_mass(params) == mass.cyclic_mass(params).total
 
 
 def check_mass_char_p_partial() -> None:
     """Char-p enumeration reproduces partial sums; the tail is controlled."""
-    for p, f in ((2, 1), (2, 2), (3, 1), (5, 1)):
-        params = FieldParams(p=p, f=f, characteristic=p)
-        q = params.q
-        total = mass.cyclic_mass(params).total
-        for m in (3, 7, 11):
-            count = breaks.c_truncation(m, p)
-            if p ** (1 + count * f) > fpspace.LINE_ENUMERATION_BOUND:
-                continue
-            partial = mass.brute_force_mass(params, char_p_level=m)
-            expected = (
-                Fraction(p, q)
-                * Fraction(q - 1, p - 1)
-                * sum(
-                    Fraction(q**i, q ** ((p - 1) * breaks.b_upper(i, p)))
-                    for i in range(1, count + 1)
-                )
+    for params, m in _char_p_levels():
+        if not _enumerable(params, m):
+            continue
+        p, q = params.p, params.q
+        count = breaks.c_truncation(m, p)
+        partial = mass.brute_force_mass(params, char_p_level=m)
+        expected = (
+            Fraction(p, q)
+            * Fraction(q - 1, p - 1)
+            * sum(
+                Fraction(q**i, q ** ((p - 1) * breaks.b_upper(i, p)))
+                for i in range(1, count + 1)
             )
-            assert partial == expected
-            tail = total - partial
-            first_omitted = count + 1
-            bound = Fraction(p, p - 1) * Fraction(
-                q ** first_omitted,
-                q ** ((p - 1) * breaks.b_upper(first_omitted, p)),
-            )
-            assert 0 < tail <= bound
+        )
+        assert partial == expected
+        tail = mass.cyclic_mass(params).total - partial
+        first_omitted = count + 1
+        bound = Fraction(p, p - 1) * Fraction(
+            q ** first_omitted,
+            q ** ((p - 1) * breaks.b_upper(first_omitted, p)),
+        )
+        assert 0 < tail <= bound
 
 
 def check_mass_bounds() -> None:
     """0 < total <= p, with equality exactly at p = 2."""
     seen_p2_equality = False
+    for params in _mass_char0_grid():
+        total = mass.cyclic_mass(params).total
+        assert 0 < total <= params.p
+        if total == params.p:
+            assert params.p == 2
+            seen_p2_equality = True
     for p in (2, 3, 5):
         for f in (1, 2):
-            for e in range(1, 5):
-                for zeta in (False, True):
-                    if zeta and e % (p - 1):
-                        continue
-                    if not zeta and p == 2:
-                        continue
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=zeta)
-                    total = mass.cyclic_mass(params).total
-                    assert 0 < total <= p
-                    if total == p:
-                        assert p == 2
-                        seen_p2_equality = True
-            params = FieldParams(p=p, f=f, characteristic=p)
-            total = mass.cyclic_mass(params).total
+            total = mass.cyclic_mass(FieldParams(p=p, f=f, characteristic=p)).total
             assert 0 < total <= p
             if total == p:
                 assert p == 2
@@ -332,7 +317,7 @@ def check_mass_bounds() -> None:
 
 def check_mass_per_break_rows() -> None:
     """Row contributions are count * q^{-c} with c = (p-1) * b_upper(i)."""
-    for params in _char0_grid(ps=(2, 3, 5), es=range(1, 5), fs=(1, 2)):
+    for params in _mass_char0_grid():
         report = mass.cyclic_mass(params)
         q = params.q
         acc = Fraction(0)

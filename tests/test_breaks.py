@@ -64,6 +64,13 @@ def test_prime_to_p_breaks_known_values():
     assert prime_to_p_breaks(5, 6) == [1, 2, 3, 4, 6, 7]
 
 
+def test_negative_counts_are_out_of_domain():
+    with pytest.raises(ValueError, match="index out of domain"):
+        prime_to_p_breaks(3, -1)
+    with pytest.raises(ValueError, match="index out of domain"):
+        c_truncation(-1, 3)
+
+
 @pytest.mark.parametrize("p,e", [(3, 4), (5, 8), (2, 5), (7, 12)])
 def test_prime_to_p_breaks_characterization(p, e):
     got = prime_to_p_breaks(p, e)

@@ -346,6 +346,8 @@ def test_herbrand_char_p_needs_m():
          "positive truncation index"),
         (["breaks", "--p", "3", "--f", "0", "--e", "2"], "f must be a positive integer"),
         (["breaks", "--p", "3", "--f", "-2", "--e", "2"], "f must be a positive integer"),
+        (["breaks", "--p", "3", "--e", "0"], "need at least one break index"),
+        (["mass", "--p", "3", "--char", "p", "--max-index", "0"], "display row"),
     ],
 )
 def test_validation_errors_exit_1_with_diagnostic(argv, needle):

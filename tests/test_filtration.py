@@ -177,13 +177,7 @@ class TestFiltrations:
 
     def test_jump_validation(self):
         with pytest.raises(ValueError):
-            RamificationFiltration(
-                p=3, numbering="upper", total_dim=2, jumps=((1, 1), (-1, 1))
-            )
-        with pytest.raises(ValueError):
-            RamificationFiltration(
-                p=3, numbering="upper", total_dim=3, jumps=((-1, 1), (1, 1))
-            )
+            RamificationFiltration(p=3, numbering="upper", jumps=((1, 1), (-1, 1)))
 
 
 class TestHerbrand:
@@ -254,11 +248,30 @@ class TestHerbrand:
             assert all(type(v) is Fraction for point in m.breakpoints for v in point)
 
     def test_non_integral_breakpoint_falls_back_to_fraction(self):
-        lower = RamificationFiltration(3, "lower", 3, ((-1, 1), (1, 1), (2, 1)))
+        lower = RamificationFiltration(3, "lower", ((-1, 1), (1, 1), (2, 1)))
         phi = herbrand_phi(lower)
         assert phi == _transition_reference(lower, -1)
         assert phi.breakpoints[-1] == (2, Fraction(4, 3))
         assert phi.slopes == (1, Fraction(1, 3), Fraction(1, 9))
+
+    @pytest.mark.parametrize(
+        "breakpoints,slopes,message",
+        [
+            ((), (), r"anchored at \(0, 0\)"),
+            (((Fraction(1), Fraction(1)),), (Fraction(1),), r"anchored at \(0, 0\)"),
+            (((Fraction(0), Fraction(0)),), (), "one slope per segment"),
+            (((Fraction(0), Fraction(0)),), (Fraction(0),), "slopes must be positive"),
+            (((Fraction(0), Fraction(0)),), (Fraction(-1),), "slopes must be positive"),
+        ],
+    )
+    def test_constructor_errors(self, breakpoints, slopes, message):
+        with pytest.raises(ValueError, match=message):
+            HerbrandMap(breakpoints=breakpoints, slopes=slopes)
+
+    def test_negative_argument(self):
+        psi = herbrand_psi(upper_filtration(Q3))
+        with pytest.raises(ValueError, match=r"defined on \[0, oo\) only"):
+            psi(Fraction(-1, 2))
 
     def test_breakpoints_must_strictly_increase(self):
         for xs in ((0, 2, 1), (0, 1, 1)):
@@ -302,16 +315,14 @@ class TestIndexTable:
 
 class TestDifferent:
     def test_oracle_known_values(self):
-        unramified = RamificationFiltration(
-            p=3, numbering="lower", total_dim=1, jumps=((-1, 1),)
-        )
+        unramified = RamificationFiltration(p=3, numbering="lower", jumps=((-1, 1),))
         assert different_exponent_oracle(unramified) == 0
         assert different_exponent_oracle(lower_filtration(Q3)) == 4
         assert different_exponent_oracle(lower_filtration(P321)) == 22
 
     def test_oracle_rejects_truncated(self):
         cut = RamificationFiltration(
-            p=3, numbering="lower", total_dim=2, jumps=((-1, 1), (1, 1)), truncated=True
+            p=3, numbering="lower", jumps=((-1, 1), (1, 1)), truncated=True
         )
         with pytest.raises(ValueError, match="infinite"):
             different_exponent_oracle(cut)
@@ -454,6 +465,6 @@ class TestOrthogonality:
 
 def test_filtered_space_validation():
     with pytest.raises(ValueError):
-        FilteredSpace(p=3, total_dim=2, label="V_regular", jumps=((1, 1), (3, 1)))
-    with pytest.raises(ValueError):
-        FilteredSpace(p=3, total_dim=5, label="V_regular", jumps=((3, 1), (1, 1)))
+        FilteredSpace(label="V_regular", jumps=((1, 1), (3, 1)))
+    with pytest.raises(ValueError, match="codimensions must be positive"):
+        FilteredSpace(label="V_regular", jumps=((3, 1), (1, 0)))

@@ -70,17 +70,17 @@ def test_idempotent_rejects_bad_inputs():
 
 
 def test_convolve_identity_and_squares():
-    x = GroupAlgebraElement(p=3, m=2, coeffs=(2, 1))
-    delta = GroupAlgebraElement(p=3, m=2, coeffs=(1, 0))
+    x = GroupAlgebraElement(p=3, coeffs=(2, 1))
+    delta = GroupAlgebraElement(p=3, coeffs=(1, 0))
     assert convolve(delta, x) == x
     assert convolve(x, x) == x
-    tau = GroupAlgebraElement(p=3, m=2, coeffs=(0, 1))
+    tau = GroupAlgebraElement(p=3, coeffs=(0, 1))
     assert convolve(tau, tau).coeffs == (1, 0)
 
 
 def test_convolve_shape_mismatch():
-    x = GroupAlgebraElement(p=3, m=2, coeffs=(2, 1))
-    y = GroupAlgebraElement(p=7, m=2, coeffs=(2, 1))
+    x = GroupAlgebraElement(p=3, coeffs=(2, 1))
+    y = GroupAlgebraElement(p=7, coeffs=(2, 1))
     with pytest.raises(ValueError):
         convolve(x, y)
 
@@ -100,7 +100,7 @@ def test_shift_acts_by_character_value(p):
         for g in _generators_of_order(m, p):
             eps = idempotent(p, m, g)
             tau = GroupAlgebraElement(
-                p=p, m=m, coeffs=tuple(1 if k == 1 % m else 0 for k in range(m))
+                p=p, coeffs=tuple(1 if k == 1 % m else 0 for k in range(m))
             )
             shifted = convolve(tau, eps)
             scaled = tuple((g * c) % p for c in eps.coeffs)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ramify.breaks import b_upper, c_truncation
-from ramify.filtration import FieldParams
+from ramify.filtration import FieldParams, break_of_line, space_model
 from ramify.fpspace import count_lines
 from ramify.mass import (
     average_c_closed_form,
@@ -12,9 +13,9 @@ from ramify.mass import (
     cyclic_mass,
     lines_with_break_count,
     series_value,
-    serre_total_mass,
     tres_ramifiee_count,
 )
+from ramify.verify import _char_p_levels, _mass_char0_grid
 
 Q3 = FieldParams(p=3, f=1, e=1, zeta_in_field=False)
 Q2 = FieldParams(p=2, f=1, e=1, zeta_in_field=True)
@@ -132,7 +133,7 @@ class TestClosedFormMasses:
     def test_report_bookkeeping(self):
         rep = cyclic_mass(P321Z)
         assert rep.total == sum(c for *_, c in rep.per_break) + rep.tres_ramifiee[1]
-        assert rep.fraction_of_serre_total == rep.total / serre_total_mass(3)
+        assert rep.fraction_of_serre_total == rep.total / 3
         reg = cyclic_mass(Q3)
         assert reg.tres_ramifiee is None
         assert reg.total == sum(c for *_, c in reg.per_break)
@@ -237,3 +238,40 @@ class TestBruteForce:
         big = FieldParams(p=7, f=2, e=6, zeta_in_field=False)
         with pytest.raises(ValueError, match="enumeration too large"):
             brute_force_mass(big)
+
+    def test_support_walk_equals_per_vector_walk(self):
+        """On every case of the two mass checks of ramify.verify with
+        p^dim <= 10^5, walking supports gives the per-vector sum."""
+        cases = [(params, None) for params in _mass_char0_grid()] + list(_char_p_levels())
+        compared = 0
+        for params, level in cases:
+            if params.p ** space_model(params, level).total_dim <= 10**5:
+                assert brute_force_mass(params, level) == _per_vector_mass(params, level)
+                compared += 1
+        assert compared == 39
+
+
+def _per_vector_mass(params, level=None):
+    """Reference mass oracle: every canonical line representative (first
+    nonzero coordinate 1) of the space model, one by one: p^dim steps."""
+    space = space_model(params, level=level)
+    p, q = params.p, params.q
+    coord_index = []
+    for idx, codim in space.jumps:
+        coord_index.extend([idx] * codim)
+    contribution_at = {}
+    for idx in space.indices:
+        brk = break_of_line(space, idx, params)
+        contribution_at[idx] = Fraction(0) if brk == -1 else Fraction(1, q ** ((p - 1) * brk))
+    dim = len(coord_index)
+    total = Fraction(0)
+    for lead in range(dim):
+        lead_idx = coord_index[lead]
+        tail_indices = coord_index[lead + 1 :]
+        for tail in product(range(p), repeat=dim - lead - 1):
+            depth_idx = lead_idx
+            for c, idx in zip(tail, tail_indices):
+                if c and idx < depth_idx:
+                    depth_idx = idx
+            total += contribution_at[depth_idx]
+    return total

@@ -57,6 +57,18 @@ def test_decimal_string_negative():
     assert decimal_string(Fraction(-1, 8)) == "-0.125"
 
 
+def test_decimal_string_whole_part_counts_as_significant():
+    assert decimal_string(Fraction(7, 3)) == "2.33333333333333333333333333333"
+    assert decimal_string(Fraction(-22, 7), 5) == "-3.1428"
+    # The whole part is never cut, even past the requested digits.
+    assert decimal_string(Fraction(123456789, 1000), 4) == "123456"
+
+
+def test_decimal_string_needs_a_digit():
+    with pytest.raises(ValueError, match="at least one significant digit"):
+        decimal_string(Fraction(1, 3), 0)
+
+
 def test_decimal_string_leading_zeros_not_significant():
     # 1/700 = 0.00142857...; the three leading zeros do not consume digits.
     assert decimal_string(Fraction(1, 700), 4) == "0.001428"
