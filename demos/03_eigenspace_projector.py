@@ -19,7 +19,7 @@ from ramify import (
     idempotent,
     multiplicative_order,
 )
-from ramify.fpspace import fp_matrix, identity_matrix, mat_inverse, mat_mul, mat_pow
+from ramify.fpspace import FpMatrix, identity_matrix, mat_inverse, mat_mul, mat_pow
 
 p, m = 5, 4          # Gal(K|F) cyclic of order 4
 g = 2                # omega(generator) = 2, a primitive root mod 5
@@ -30,8 +30,8 @@ print("idempotent coefficients:", eps.coeffs)
 
 # A representation of the cyclic group on F_5^3: conjugate of a diagonal
 # of 4th roots of unity (eigenvalues 2, 1, 4).
-basis = fp_matrix(p, [[1, 1, 0], [0, 1, 2], [1, 0, 1]])
-diag = fp_matrix(p, [[2, 0, 0], [0, 1, 0], [0, 0, 4]])
+basis = FpMatrix(p, [[1, 1, 0], [0, 1, 2], [1, 0, 1]])
+diag = FpMatrix(p, [[2, 0, 0], [0, 1, 0], [0, 0, 4]])
 rep = mat_mul(mat_mul(basis, diag), mat_inverse(basis))
 assert mat_pow(rep, m) == identity_matrix(p, 3)
 
@@ -51,7 +51,7 @@ rng = random.Random(7)
 for _ in range(25):
     rows = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
     try:
-        b = fp_matrix(p, rows)
+        b = FpMatrix(p, rows)
         inv = mat_inverse(b)
     except ValueError:
         continue

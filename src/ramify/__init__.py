@@ -43,10 +43,8 @@ from .fpspace import (
     count_lines,
     eigenspace,
     enumerate_lines,
-    fp_matrix,
     idempotent,
     multiplicative_order,
-    subspace,
 )
 from .mass import (
     MassReport,
@@ -90,7 +88,6 @@ __all__ = [
     "discriminant_exponent",
     "eigenspace",
     "enumerate_lines",
-    "fp_matrix",
     "geometric_sum_finite",
     "herbrand_phi",
     "herbrand_psi",
@@ -104,7 +101,6 @@ __all__ = [
     "series_value",
     "space_model",
     "splitting_data",
-    "subspace",
     "tres_ramifiee_count",
     "tres_ramifiee_discriminant",
     "upper_filtration",

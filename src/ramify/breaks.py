@@ -27,8 +27,9 @@ def _check_prime(p: int) -> None:
     """The package's one primality test: trial division by 2, then by odd d <= isqrt(p)."""
     if p < 2 or (p % 2 == 0 and p != 2):
         raise ValueError("p must be a prime")
-    if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
-        raise ValueError("p must be a prime")
+    for d in range(3, math.isqrt(p) + 1, 2):
+        if p % d == 0:
+            raise ValueError("p must be a prime")
 
 
 def _check_index(i: int) -> None:

@@ -1,8 +1,10 @@
-"""Linear algebra over F_p: matrices, canonical subspaces, group-algebra idempotents.
+"""Linear algebra over F_p: matrices, canonical subspaces, group-algebra elements.
 
-Subspaces are held in reduced row echelon form so that equality of
-FpSubspace values is equality of subspaces. Everything is exact; p stays
-small in practice so no attempt is made at asymptotic cleverness.
+Each type holds its own invariants: entries and coefficients are reduced to
+[0, p), and a subspace stores the reduced row echelon form of whatever spans
+it, so that equality of FpSubspace values is equality of subspaces.
+Everything is exact; p stays small in practice so no attempt is made at
+asymptotic cleverness.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ __all__ = [
     "FpMatrix",
     "FpSubspace",
     "GroupAlgebraElement",
-    "fp_matrix",
     "identity_matrix",
     "mat_mul",
     "mat_pow",
     "mat_inverse",
     "rref",
-    "subspace",
     "full_space",
     "count_lines",
     "enumerate_lines",
@@ -40,31 +40,30 @@ LINE_ENUMERATION_BOUND = 10**7
 
 @dataclass(frozen=True)
 class FpMatrix:
-    """Row-major matrix over F_p with entries reduced to [0, p)."""
+    """Matrix over F_p: a tuple of equally long rows with entries reduced to [0, p)."""
 
     p: int
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    entries: tuple[tuple[int, ...], ...]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-
-def fp_matrix(p: int, rows: Sequence[Sequence[int]]) -> FpMatrix:
-    _check_prime(p)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    flat = []
-    for r in rows:
-        if len(r) != ncols:
+    def __post_init__(self) -> None:
+        _check_prime(self.p)
+        p = self.p
+        rows = tuple([tuple([x % p for x in r]) for r in self.entries])
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        flat.extend(x % p for x in r)
-    return FpMatrix(p=p, rows=nrows, cols=ncols, entries=tuple(flat))
+        object.__setattr__(self, "entries", rows)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
 
 
 def identity_matrix(p: int, n: int) -> FpMatrix:
-    return fp_matrix(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return FpMatrix(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
@@ -72,20 +71,17 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
         raise ValueError("mismatched characteristic")
     if a.cols != b.rows:
         raise ValueError("dimension mismatch")
-    p = a.p
+    ncols = b.cols
     out = []
-    brows = [b.row(k) for k in range(b.rows)]
-    for i in range(a.rows):
-        arow = a.row(i)
-        acc = [0] * b.cols
-        for k, aik in enumerate(arow):
+    for arow in a.entries:
+        acc = [0] * ncols
+        for aik, brow in zip(arow, b.entries):
             if aik == 0:
                 continue
-            brow = brows[k]
-            for j in range(b.cols):
+            for j in range(ncols):
                 acc[j] += aik * brow[j]
-        out.append([x % p for x in acc])
-    return fp_matrix(p, out)
+        out.append(acc)
+    return FpMatrix(a.p, out)
 
 
 def mat_pow(a: FpMatrix, n: int) -> FpMatrix:
@@ -113,7 +109,7 @@ def rref(p: int, rows: Iterable[Sequence[int]]) -> list[list[int]]:
     for col in range(ncols):
         pivot = None
         for r in range(pivot_row, len(work)):
-            if work[r][col] % p != 0:
+            if work[r][col]:
                 pivot = r
                 break
         if pivot is None:
@@ -122,33 +118,40 @@ def rref(p: int, rows: Iterable[Sequence[int]]) -> list[list[int]]:
         inv = pow(work[pivot_row][col], -1, p)
         work[pivot_row] = [(x * inv) % p for x in work[pivot_row]]
         for r in range(len(work)):
-            if r != pivot_row and work[r][col] % p != 0:
+            if r != pivot_row and work[r][col]:
                 factor = work[r][col]
                 work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[pivot_row])]
         pivot_row += 1
         if pivot_row == len(work):
             break
-    return [r for r in work[:pivot_row]]
+    return work[:pivot_row]
 
 
 def mat_inverse(a: FpMatrix) -> FpMatrix:
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
     n, p = a.rows, a.p
-    aug = [list(a.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(a.entries)]
     reduced = rref(p, aug)
     if len(reduced) < n or any(reduced[i][i] != 1 for i in range(n)):
         raise ValueError("matrix not invertible")
-    return fp_matrix(p, [row[n:] for row in reduced])
+    return FpMatrix(p, [row[n:] for row in reduced])
 
 
 @dataclass(frozen=True)
 class FpSubspace:
-    """Subspace of F_p^ambient_dim; basis rows are the RREF of any spanning set."""
+    """Subspace of F_p^ambient_dim spanned by `basis`, which is stored as its RREF."""
 
     p: int
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_prime(self.p)
+        vectors = tuple(self.basis)
+        if any(len(v) != self.ambient_dim for v in vectors):
+            raise ValueError("dimension mismatch")
+        object.__setattr__(self, "basis", tuple(map(tuple, rref(self.p, vectors))))
 
     @property
     def dim(self) -> int:
@@ -157,31 +160,16 @@ class FpSubspace:
     def contains_vector(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.ambient_dim:
             raise ValueError("dimension mismatch")
-        v = [x % self.p for x in vec]
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x)
-            if v[lead]:
-                c = v[lead]
-                v = [(a - c * b) % self.p for a, b in zip(v, row)]
-        return not any(v)
+        return len(rref(self.p, [*self.basis, vec])) == self.dim
 
     def contains(self, other: "FpSubspace") -> bool:
         if (self.p, self.ambient_dim) != (other.p, other.ambient_dim):
             raise ValueError("mismatched ambient space")
-        return all(self.contains_vector(row) for row in other.basis)
-
-
-def subspace(p: int, ambient_dim: int, vectors: Iterable[Sequence[int]]) -> FpSubspace:
-    vecs = [list(v) for v in vectors]
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise ValueError("dimension mismatch")
-    basis = rref(p, vecs)
-    return FpSubspace(p=p, ambient_dim=ambient_dim, basis=tuple(tuple(r) for r in basis))
+        return len(rref(self.p, self.basis + other.basis)) == self.dim
 
 
 def full_space(p: int, n: int) -> FpSubspace:
-    return subspace(p, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return FpSubspace(p, n, identity_matrix(p, n).entries)
 
 
 def count_lines(dim: int, p: int) -> int:
@@ -204,15 +192,14 @@ def enumerate_lines(ambient: FpSubspace) -> list[FpSubspace]:
     if p**dim > LINE_ENUMERATION_BOUND:
         raise ValueError("enumeration too large")
     lines = []
-    for lead in range(dim):
-        for tail in product(range(p), repeat=dim - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            vec = [0] * ambient.ambient_dim
-            for c, row in zip(coeffs, ambient.basis):
+    for lead, head in enumerate(ambient.basis):
+        rest = ambient.basis[lead + 1 :]
+        for tail in product(range(p), repeat=len(rest)):
+            vec = head
+            for c, row in zip(tail, rest):
                 if c:
-                    for j, x in enumerate(row):
-                        vec[j] = (vec[j] + c * x) % p
-            lines.append(subspace(p, ambient.ambient_dim, [vec]))
+                    vec = [a + c * b for a, b in zip(vec, row)]
+            lines.append(FpSubspace(p, ambient.ambient_dim, (vec,)))
     return lines
 
 
@@ -229,10 +216,21 @@ def multiplicative_order(a: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class GroupAlgebraElement:
-    """Element sum coeffs[k] tau^k of F_p[C_m], tau a fixed generator of C_m."""
+    """Element sum coeffs[k] tau^k of F_p[C_m], tau a fixed generator of C_m.
+
+    The coefficients are reduced to [0, p); there is at least one (m >= 1).
+    """
 
     p: int
     coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_prime(self.p)
+        p = self.p
+        coeffs = tuple([c % p for c in self.coeffs])
+        if not coeffs:
+            raise ValueError("need at least one coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def m(self) -> int:
@@ -250,28 +248,25 @@ def idempotent(p: int, m: int, omega_gen: int) -> GroupAlgebraElement:
         raise ValueError("m must divide p - 1")
     if multiplicative_order(omega_gen, p) != m:
         raise ValueError("character not faithful on cyclic group")
-    m_inv = pow(m, -1, p)
     w_inv = pow(omega_gen, -1, p)
-    coeffs = []
-    acc = 1
-    for _ in range(m):
-        coeffs.append((m_inv * acc) % p)
-        acc = (acc * w_inv) % p
-    return GroupAlgebraElement(p=p, coeffs=tuple(coeffs))
+    coeffs = [pow(m, -1, p)]
+    for _ in range(m - 1):
+        coeffs.append(coeffs[-1] * w_inv % p)
+    return GroupAlgebraElement(p, coeffs)
 
 
 def convolve(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
     """Product in F_p[C_m] (cyclic convolution of coefficient vectors)."""
     if (x.p, x.m) != (y.p, y.m):
         raise ValueError("mismatched group algebra")
-    p, m = x.p, x.m
+    m = x.m
     out = [0] * m
     for i, xi in enumerate(x.coeffs):
         if xi == 0:
             continue
         for j, yj in enumerate(y.coeffs):
-            out[(i + j) % m] = (out[(i + j) % m] + xi * yj) % p
-    return GroupAlgebraElement(p=p, coeffs=tuple(out))
+            out[(i + j) % m] += xi * yj
+    return GroupAlgebraElement(x.p, out)
 
 
 def eigenspace(rep_gen: FpMatrix, lam: int) -> FpSubspace:
@@ -280,8 +275,8 @@ def eigenspace(rep_gen: FpMatrix, lam: int) -> FpSubspace:
         raise ValueError("matrix must be square")
     n, p = rep_gen.rows, rep_gen.p
     shifted = [
-        [(x - (lam if i == j else 0)) % p for j, x in enumerate(rep_gen.row(i))]
-        for i in range(n)
+        [x - lam if i == j else x for j, x in enumerate(row)]
+        for i, row in enumerate(rep_gen.entries)
     ]
     reduced = rref(p, shifted)
     pivots = [next(i for i, x in enumerate(row) if x) for row in reduced]
@@ -293,9 +288,9 @@ def eigenspace(rep_gen: FpMatrix, lam: int) -> FpSubspace:
         v = [0] * n
         v[j] = 1
         for row, c in zip(reduced, pivots):
-            v[c] = (-row[j]) % p
+            v[c] = -row[j]
         kernel.append(v)
-    return subspace(p, n, kernel)
+    return FpSubspace(p, n, kernel)
 
 
 def apply_idempotent(eps: GroupAlgebraElement, rep_gen: FpMatrix) -> FpSubspace:
@@ -314,12 +309,10 @@ def apply_idempotent(eps: GroupAlgebraElement, rep_gen: FpMatrix) -> FpSubspace:
     power = identity
     for c in eps.coeffs:
         if c:
-            for i in range(n):
-                row = power.row(i)
+            for acc, row in zip(total, power.entries):
                 for j in range(n):
-                    total[i][j] = (total[i][j] + c * row[j]) % p
+                    acc[j] += c * row[j]
         power = mat_mul(power, rep_gen)
     if power != identity:  # power is now rep_gen^m
         raise ValueError("not a representation of order m")
-    columns = [[total[i][j] for i in range(n)] for j in range(n)]
-    return subspace(p, n, columns)
+    return FpSubspace(p, n, tuple(zip(*total)))

@@ -8,6 +8,7 @@ runs them all and prints one PASS/FAIL line per check.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Callable
@@ -33,8 +34,12 @@ from .filtration import (
 __all__ = ["CHECKS", "run_all"]
 
 
+@functools.cache
 def _char0_grid(ps=(2, 3, 5), es=range(1, 7), fs=range(1, 4)):
-    """All valid characteristic-0 parameter sets over the given ranges."""
+    """All valid characteristic-0 parameter sets over the given ranges.
+
+    Built once per argument set (eight checks read it); FieldParams are frozen.
+    """
     out = []
     for p in ps:
         for e in es:
@@ -43,7 +48,7 @@ def _char0_grid(ps=(2, 3, 5), es=range(1, 7), fs=range(1, 4)):
                     out.append(FieldParams(p=p, f=f, e=e, zeta_in_field=False))
                 if e % (p - 1) == 0:
                     out.append(FieldParams(p=p, f=f, e=e, zeta_in_field=True))
-    return out
+    return tuple(out)
 
 
 def _regular_grid(es, fs):
@@ -91,7 +96,7 @@ def check_b_lower_closed_form() -> None:
     """The b_lower closed form agrees with psi of the ambient filtration,
     at e = 30 and for every valid char-0 field of the small grid."""
     deep = [FieldParams(p=p, f=f, e=30, zeta_in_field=p == 2) for p in (2, 3, 5) for f in (1, 2)]
-    for params in deep + _char0_grid():
+    for params in [*deep, *_char0_grid()]:
         psi = herbrand_psi(upper_filtration(params))
         for i in range(1, params.e + 1):
             assert psi(breaks.b_upper(i, params.p)) == breaks.b_lower(i, params.p, params.q)
@@ -153,12 +158,12 @@ def _random_rep(
 ) -> fpspace.FpMatrix:
     """Random M = P D P^-1 with D diagonal of m-th roots of unity mod p."""
     diag = [pow(omega_gen, rng.randrange(m), p) for _ in range(n)]
-    d = fpspace.fp_matrix(p, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    d = fpspace.FpMatrix(p, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
     while True:
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         if len(fpspace.rref(p, rows)) == n:
             break
-    pm = fpspace.fp_matrix(p, rows)
+    pm = fpspace.FpMatrix(p, rows)
     return fpspace.mat_mul(fpspace.mat_mul(pm, d), fpspace.mat_inverse(pm))
 
 
@@ -222,7 +227,7 @@ def check_dimension_bookkeeping() -> None:
         expected = (2 if params.zeta_in_field else 1) + params.e * params.f
         assert up.total_dim == low.total_dim == expected
         assert sorted(up.codims) == sorted(low.codims)
-        assert sum(up.codims) == expected
+        assert space_model(params).total_dim == expected
 
 
 def check_upper_jumps_avoid_p() -> None:

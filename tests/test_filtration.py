@@ -69,6 +69,10 @@ class TestFieldParams:
             FieldParams(p=3, f=1, characteristic=5)
         with pytest.raises(ValueError):
             FieldParams(p=3, f=1, characteristic=3, e=2)
+        with pytest.raises(ValueError, match="e1 is undefined"):
+            CHAR3.e1
+        with pytest.raises(ValueError, match="regular case only"):
+            P321Z.s
 
     def test_regular_flag(self):
         assert Q3.regular and not P321Z.regular and not CHAR3.regular
@@ -98,6 +102,8 @@ class TestSplittingData:
             splitting_data(P321Z)
         with pytest.raises(ValueError, match="splitting undefined"):
             splitting_data(CHAR3)
+        with pytest.raises(ValueError, match="residual class order must be positive"):
+            splitting_data(Q3, residual_class_order=-1)
 
 
 class TestFiltrations:
@@ -178,6 +184,10 @@ class TestFiltrations:
     def test_jump_validation(self):
         with pytest.raises(ValueError):
             RamificationFiltration(p=3, numbering="upper", jumps=((1, 1), (-1, 1)))
+        with pytest.raises(ValueError, match="numbering must be"):
+            RamificationFiltration(p=3, numbering="middle", jumps=((1, 1),))
+        with pytest.raises(ValueError, match="codimensions must be positive"):
+            RamificationFiltration(p=3, numbering="upper", jumps=((1, 1), (2, 0)))
 
 
 class TestHerbrand:
@@ -223,6 +233,9 @@ class TestHerbrand:
         trunc = upper_filtration(CHAR3, max_index=4)
         with pytest.raises(ValueError):
             herbrand_psi(trunc)
+        lower = RamificationFiltration(p=3, numbering="lower", jumps=((1, 1),), truncated=True)
+        with pytest.raises(ValueError, match="truncated"):
+            herbrand_phi(lower)
 
     def test_char_p_quotient_maps(self):
         phi = herbrand_phi(lower_filtration(CHAR3, max_index=5))
@@ -461,6 +474,8 @@ class TestOrthogonality:
         assert orthogonal_index(Fraction(5), P321) == ABOVE_BREAK_RANGE
         with pytest.raises(ValueError):
             orthogonal_index(Fraction(-2), P321)
+        with pytest.raises(ValueError, match="regular case only"):
+            orthogonal_index(Fraction(1), P321Z)
 
 
 def test_filtered_space_validation():
@@ -468,3 +483,5 @@ def test_filtered_space_validation():
         FilteredSpace(label="V_regular", jumps=((1, 1), (3, 1)))
     with pytest.raises(ValueError, match="codimensions must be positive"):
         FilteredSpace(label="V_regular", jumps=((3, 1), (1, 0)))
+    with pytest.raises(ValueError, match="unknown space label"):
+        FilteredSpace(label="W", jumps=((3, 1),))
