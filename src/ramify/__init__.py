@@ -23,7 +23,6 @@ from .filtration import (
     cyclic_discriminant,
     different_exponent_closed,
     different_exponent_oracle,
-    dim_at_level,
     discriminant_exponent,
     herbrand_phi,
     herbrand_psi,
@@ -31,8 +30,6 @@ from .filtration import (
     lower_filtration,
     orthogonal_index,
     space_model,
-    splitting_data,
-    tres_ramifiee_discriminant,
     upper_filtration,
 )
 from .fpspace import (
@@ -84,7 +81,6 @@ __all__ = [
     "decimal_string",
     "different_exponent_closed",
     "different_exponent_oracle",
-    "dim_at_level",
     "discriminant_exponent",
     "eigenspace",
     "enumerate_lines",
@@ -100,8 +96,6 @@ __all__ = [
     "prime_to_p_breaks",
     "series_value",
     "space_model",
-    "splitting_data",
     "tres_ramifiee_count",
-    "tres_ramifiee_discriminant",
     "upper_filtration",
 ]

@@ -201,11 +201,18 @@ def _mass_doc(report: MassReport) -> dict[str, Any]:
     }
 
 
-def _space_doc(space) -> dict[str, Any]:
+def _space_label(params: FieldParams) -> str:
+    """Name of the regime of space_model(params)."""
+    if params.characteristic != 0:
+        return "wp_char_p"
+    return "V_regular" if params.regular else "Ubar_zeta"
+
+
+def _space_doc(space, label: str) -> dict[str, Any]:
     return {
-        "label": space.label,
+        "label": label,
         "total_dim": space.total_dim,
-        "jumps": [{"index": j, "codim": c} for j, c in space.jumps],
+        "jumps": [{"index": j, "codim": c} for j, c in reversed(space.jumps)],
     }
 
 
@@ -237,7 +244,7 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
     # --m picks; without it the space model has the breaks of `upper`.
     lower = None if upper.truncated and args.m is None else lower_filtration(params, args.m)
     level = args.m if lower is not None else b_upper(args.max_index, params.p)
-    space = space_model(params, level=level)
+    space, label = space_model(params, level=level), _space_label(params)
     table = index_table(params) if params.regular else None
     different = different_exponent_closed(params) if params.regular else None
     discriminant = discriminant_exponent(params) if params.regular else None
@@ -256,7 +263,7 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
             ),
             "different_exponent": different,
             "discriminant_exponent": discriminant,
-            "v_space": _space_doc(space),
+            "v_space": _space_doc(space, label),
             "mass": _mass_doc(report),
         }
         return [_json(doc)]
@@ -281,8 +288,9 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
     if different is not None:
         lines.append(f"different exponent: {different}")
         lines.append(f"discriminant exponent: {discriminant}")
-    jumps = ", ".join(f"{j}:{c}" for j, c in space.jumps)
-    lines.append(f"space model {space.label} (dim {space.total_dim}) jumps index:codim = {jumps}")
+    # Both formats list the space's jumps deepest index first.
+    jumps = ", ".join(f"{j}:{c}" for j, c in reversed(space.jumps))
+    lines.append(f"space model {label} (dim {space.total_dim}) jumps index:codim = {jumps}")
     return lines + _mass_text(report)
 
 

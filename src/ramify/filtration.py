@@ -8,6 +8,11 @@ two numberings, the different/discriminant exponents, and the filtered
 F_p-space models (Kummer or Artin-Schreier side) whose lines correspond to
 the degree-p cyclic extensions of F.
 
+Both filtrations and space models are jump lists: a FilteredSpace holds
+(location, codim) pairs in increasing location order, and its member at x has
+the dimension of the codims at locations >= x. A RamificationFiltration is a
+FilteredSpace of the group G that also records p and its numbering.
+
 Three parameter regimes are supported:
 
 * characteristic 0, zeta_p not in F ("regular"; forces p odd): G has
@@ -45,7 +50,6 @@ __all__ = [
     "RamificationFiltration",
     "HerbrandMap",
     "FilteredSpace",
-    "splitting_data",
     "upper_filtration",
     "lower_filtration",
     "herbrand_psi",
@@ -55,22 +59,12 @@ __all__ = [
     "different_exponent_closed",
     "discriminant_exponent",
     "cyclic_discriminant",
-    "tres_ramifiee_discriminant",
     "space_model",
     "break_of_line",
     "orthogonal_index",
-    "dim_at_level",
     "BELOW_BREAK_RANGE",
     "ABOVE_BREAK_RANGE",
-    "V_REGULAR",
-    "UBAR_ZETA",
-    "WP_CHAR_P",
 ]
-
-# Labels for the three filtered-space models.
-V_REGULAR = "V_regular"
-UBAR_ZETA = "Ubar_zeta"
-WP_CHAR_P = "wp_char_p"
 
 # Boundary tags returned by orthogonal_index outside [1, b_upper(e)].
 BELOW_BREAK_RANGE = "below_break_range"
@@ -144,51 +138,20 @@ class FieldParams:
         return self.characteristic == 0 and not self.zeta_in_field
 
 
-def splitting_data(
-    params: FieldParams, residual_class_order: Optional[int] = None
-) -> tuple[int, Optional[int], Optional[int]]:
-    """(s, r, m) for K = F(zeta_p) over a regular F: ramification index s,
-    residual degree r, total degree m = r*s.
-
-    s is always computable from (e, p). r needs extra arithmetic input: the
-    order of the class that -p (to the power s) defines in the residue field
-    modulo (p-1)-th powers; pass it as residual_class_order when known. For
-    F = Q_p (e = f = 1) the answer (p-1, 1, p-1) is built in; otherwise r and
-    m come back as None when not supplied.
-    """
-    if not params.regular:
-        raise ValueError("splitting undefined unless zeta is outside the field")
-    s = params.s
-    if residual_class_order is not None:
-        if residual_class_order < 1:
-            raise ValueError("residual class order must be positive")
-        return s, residual_class_order, residual_class_order * s
-    if params.e == 1 and params.f == 1:
-        return s, 1, s
-    return s, None, None
-
-
 @dataclass(frozen=True)
-class RamificationFiltration:
-    """Jump data of the filtration of a pro-p group G.
+class FilteredSpace:
+    """Jump data of a filtered F_p-space or group.
 
-    jumps is ordered by location; (location, codim) means the group drops by
-    a factor of p^codim as the numbering crosses the location (the group AT
-    a break is still the larger one). The total_dim property, the sum of
-    the codims, is the F_p-dimension of G, except that truncated filtrations
-    only model an initial stretch of an infinite group, in which case it
-    covers just the listed jumps.
+    jumps is ordered by strictly increasing location; (location, codim)
+    means the member drops by `codim` dimensions as x crosses the location
+    (the member AT a location is still the larger one). The member at x
+    therefore has dimension sum of codims at locations >= x (dim_at), and
+    the total_dim property is the sum of all codims.
     """
 
-    p: int
-    numbering: str
     jumps: tuple[tuple[int, int], ...]
-    truncated: bool = False
 
     def __post_init__(self) -> None:
-        _check_prime(self.p)
-        if self.numbering not in ("upper", "lower"):
-            raise ValueError("numbering must be 'upper' or 'lower'")
         prev = None
         for loc, codim in self.jumps:
             if prev is not None and loc <= prev:
@@ -209,9 +172,30 @@ class RamificationFiltration:
     def codims(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.jumps)
 
-    def dim_at(self, u: Union[int, Fraction]) -> int:
-        """F_p-dimension of the filtration member at numbering value u."""
-        return sum(c for loc, c in self.jumps if loc >= u)
+    def dim_at(self, x: Union[int, Fraction]) -> int:
+        """F_p-dimension of the member at location x."""
+        return sum(c for loc, c in self.jumps if loc >= x)
+
+
+@dataclass(frozen=True)
+class RamificationFiltration(FilteredSpace):
+    """Filtration of a pro-p group G in upper or lower numbering.
+
+    The member at numbering value u drops by a factor of p^codim as u
+    crosses a jump. total_dim is the F_p-dimension of G, except that
+    truncated filtrations only model an initial stretch of an infinite
+    group, in which case it covers just the listed jumps.
+    """
+
+    p: int
+    numbering: str
+    truncated: bool = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check_prime(self.p)
+        if self.numbering not in ("upper", "lower"):
+            raise ValueError("numbering must be 'upper' or 'lower'")
 
 
 def _space_scale(params: FieldParams) -> tuple[int, int]:
@@ -256,7 +240,9 @@ def upper_filtration(
     tres = _tres_break(params)
     if tres is not None:
         jumps.append((tres, 1))
-    return RamificationFiltration(params.p, "upper", tuple(jumps), truncated)
+    return RamificationFiltration(
+        jumps=tuple(jumps), p=params.p, numbering="upper", truncated=truncated
+    )
 
 
 def lower_filtration(
@@ -281,7 +267,7 @@ def lower_filtration(
     tres = _tres_break(params)
     if tres is not None:  # psi has slope q^e past b_upper(e)
         jumps.append((rows[-1][3] + q**count * (tres - rows[-1][2]), 1))
-    return RamificationFiltration(p, "lower", tuple(jumps))
+    return RamificationFiltration(jumps=tuple(jumps), p=p, numbering="lower")
 
 
 @dataclass(frozen=True)
@@ -435,79 +421,17 @@ def discriminant_exponent(params: FieldParams) -> int:
     return params.p * different_exponent_closed(params)
 
 
-def _check_break_index(params: FieldParams, i: int) -> None:
-    if i < 1:
-        raise ValueError("break index out of domain")
-    if params.characteristic == 0 and i > params.e:
-        raise ValueError("break index exceeds e")
+def cyclic_discriminant(p: int, b: int) -> int:
+    """Discriminant exponent (p-1)(1 + b) of a degree-p cyclic extension with
+    upper break b.
 
-
-def _check_tres_ramifiee(params: FieldParams) -> int:
-    tres = _tres_break(params)
-    if tres is None:
-        raise ValueError("no tres ramifiee extensions for these parameters")
-    return tres
-
-
-def cyclic_discriminant(params: FieldParams, break_index: int) -> tuple[int, int]:
-    """(v(d), c) for a degree-p cyclic extension with break b_upper(i).
-
-    v(d) = (p-1)(1 + b_upper(i)) is the discriminant exponent and
-    c = v(d) - (p-1) the conductor-like companion used by the mass sums.
+    b = -1 (unramified) gives 0, and the tres ramifiee break p*e/(p-1) is one
+    more b. The mass sums weigh an extension by q^{-c}, c = d - (p-1).
     """
-    _check_break_index(params, break_index)
-    b = b_upper(break_index, params.p)
-    v = (params.p - 1) * (1 + b)
-    return v, v - (params.p - 1)
-
-
-def tres_ramifiee_discriminant(params: FieldParams) -> tuple[int, int]:
-    """(v(d), c) for the deepest-break extensions when zeta is in the field.
-
-    Their break is p*e/(p-1), giving c = p*e via the same
-    (p-1)(1 + break) rule.
-    """
-    v = (params.p - 1) * (1 + _check_tres_ramifiee(params))
-    return v, v - (params.p - 1)
-
-
-@dataclass(frozen=True)
-class FilteredSpace:
-    """Descending jump data of a filtered F_p-space.
-
-    jumps is ordered by strictly decreasing index; (index, codim) means the
-    space at that index gains `codim` dimensions over the next deeper level.
-    The member at index j therefore has dimension sum of codims at indices
-    >= j (see dim_at_level), and the total_dim property is the sum of all
-    codims. label names which of the three models this is.
-    """
-
-    label: str
-    jumps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.label not in (V_REGULAR, UBAR_ZETA, WP_CHAR_P):
-            raise ValueError("unknown space label")
-        prev = None
-        for index, codim in self.jumps:
-            if prev is not None and index >= prev:
-                raise ValueError("jump indices must strictly decrease")
-            if codim < 1:
-                raise ValueError("codimensions must be positive")
-            prev = index
-
-    @property
-    def total_dim(self) -> int:
-        return sum(c for _, c in self.jumps)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.jumps)
-
-
-def dim_at_level(space: FilteredSpace, index: int) -> int:
-    """Dimension of the filtration member at the given index."""
-    return sum(c for j, c in space.jumps if j >= index)
+    _check_prime(p)
+    if b < -1:
+        raise ValueError("upper breaks are at least -1")
+    return (p - 1) * (1 + b)
 
 
 def space_model(params: FieldParams, level: Optional[int] = None) -> FilteredSpace:
@@ -515,7 +439,8 @@ def space_model(params: FieldParams, level: Optional[int] = None) -> FilteredSpa
 
     It is the upper filtration read backwards: an upper jump (b, codim)
     becomes the space jump (top - s*max(b, 0), codim), so the unramified
-    line (b = -1) sits at the deepest index `top`. Per regime:
+    line (b = -1) sits at the deepest index `top`, the last location. Per
+    regime (the CLI prints the name in parentheses):
 
     * regular (V_regular): Kummer classes filtered by the unit filtration of
       K = F(zeta_p), in the normalized valuation of K; top = p*e1*s,
@@ -533,14 +458,12 @@ def space_model(params: FieldParams, level: Optional[int] = None) -> FilteredSpa
         if level is not None:
             raise ValueError("level applies to characteristic p only")
         upper = upper_filtration(params)
-        label = V_REGULAR if params.regular else UBAR_ZETA
     else:
         count = c_truncation(_require_char_p_bound(level), params.p)
         upper = upper_filtration(params, max_index=count)
-        label = WP_CHAR_P
     s, top = _space_scale(params)
-    jumps = tuple((top - s * max(b, 0), codim) for b, codim in upper.jumps)
-    return FilteredSpace(label=label, jumps=jumps)
+    jumps = ((top - s * max(b, 0), codim) for b, codim in reversed(upper.jumps))
+    return FilteredSpace(tuple(jumps))
 
 
 def break_of_line(space: FilteredSpace, index: int, params: FieldParams) -> int:
@@ -549,9 +472,9 @@ def break_of_line(space: FilteredSpace, index: int, params: FieldParams) -> int:
     unramified (the line at the deepest index); otherwise the break inverts
     the index map of space_model: (top - index) / s.
     """
-    if index not in space.indices:
+    if index not in space.locations:
         raise ValueError("illegal depth for this space")
-    top = space.indices[0]
+    top = space.locations[-1]
     if index == top:
         return -1
     return (top - index) // _space_scale(params)[0]

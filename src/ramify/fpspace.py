@@ -101,6 +101,7 @@ def mat_pow(a: FpMatrix, n: int) -> FpMatrix:
 
 def rref(p: int, rows: Iterable[Sequence[int]]) -> list[list[int]]:
     """Reduced row echelon form; zero rows dropped. Canonical per row space."""
+    _check_prime(p)
     work = [[x % p for x in r] for r in rows]
     if not work:
         return []
@@ -147,7 +148,6 @@ class FpSubspace:
     basis: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_prime(self.p)
         vectors = tuple(self.basis)
         if any(len(v) != self.ambient_dim for v in vectors):
             raise ValueError("dimension mismatch")

@@ -25,8 +25,7 @@ from itertools import product
 from typing import Optional
 
 from .breaks import _check_prime, _check_q, prime_to_p_breaks
-from .filtration import FieldParams, _check_break_index, _check_tres_ramifiee
-from .filtration import break_of_line, space_model
+from .filtration import FieldParams, break_of_line, cyclic_discriminant, space_model
 from .fpspace import LINE_ENUMERATION_BOUND
 from .rationals import geometric_sum_finite
 
@@ -69,14 +68,18 @@ class MassReport:
 def lines_with_break_count(params: FieldParams, i: int) -> int:
     """Number of degree-p cyclic extensions with break b_upper(i):
     p * q^{i-1} * (q-1)/(p-1)."""
-    _check_break_index(params, i)
+    if i < 1:
+        raise ValueError("break index out of domain")
+    if params.characteristic == 0 and i > params.e:
+        raise ValueError("break index exceeds e")
     p, q = params.p, params.q
     return p * q ** (i - 1) * (q - 1) // (p - 1)
 
 
 def tres_ramifiee_count(params: FieldParams) -> int:
     """Number of deepest-break cyclic extensions (zeta in field, char 0): p*q^e."""
-    _check_tres_ramifiee(params)
+    if params.characteristic != 0 or not params.zeta_in_field:
+        raise ValueError("no tres ramifiee extensions for these parameters")
     return params.p * params.q**params.e
 
 
@@ -174,7 +177,8 @@ def brute_force_mass(
     walks, for each lead coordinate, every 0/1 support mask of the tail,
     which stands for (p-1)^popcount lines of the same depth: 2^dim steps
     instead of p^dim. It reads off each support's depth, converts it to a
-    break via break_of_line, and adds q^{-(p-1)*break} per ramified line.
+    break via break_of_line, and adds q^{-c} per ramified line, where
+    c = cyclic_discriminant(p, break) - (p-1).
     Exercises the line-counting combinatorics rather than assuming it.
 
     In characteristic p the full space is infinite, so char_p_level (the
@@ -191,15 +195,14 @@ def brute_force_mass(
     # deepest first; a line's depth is the shallowest index among its
     # nonzero coordinates.
     coord_index: list[int] = []
-    for idx, codim in space.jumps:
+    for idx, codim in reversed(space.jumps):
         coord_index.extend([idx] * codim)
-    contribution_at: dict[int, Fraction] = {}
-    for idx in space.indices:
+    contribution_at = dict.fromkeys(space.locations, Fraction(0))
+    for idx in space.locations:
         brk = break_of_line(space, idx, params)
-        contribution_at[idx] = (
-            Fraction(0) if brk == -1 else Fraction(1, q ** ((p - 1) * brk))
-        )
-    lines_at = dict.fromkeys(space.indices, 0)
+        if brk != -1:  # the unramified line carries no mass
+            contribution_at[idx] = Fraction(1, q ** (cyclic_discriminant(p, brk) - (p - 1)))
+    lines_at = dict.fromkeys(space.locations, 0)
     weight = [(p - 1) ** k for k in range(dim)]
     for lead in range(dim):
         lead_idx = coord_index[lead]

@@ -19,7 +19,6 @@ from .filtration import (
     ABOVE_BREAK_RANGE,
     BELOW_BREAK_RANGE,
     FieldParams,
-    dim_at_level,
     different_exponent_closed,
     different_exponent_oracle,
     herbrand_phi,
@@ -264,7 +263,7 @@ def check_orthogonality() -> None:
         for u in mesh:
             idx = orthogonal_index(u, params)
             assert isinstance(idx, int)
-            assert up.dim_at(u) + dim_at_level(space, idx) == 1 + params.e * params.f
+            assert up.dim_at(u) + space.dim_at(idx) == 1 + params.e * params.f
         assert orthogonal_index(Fraction(1, 2), params) == BELOW_BREAK_RANGE
         assert orthogonal_index(top_break + 1, params) == ABOVE_BREAK_RANGE
 

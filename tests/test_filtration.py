@@ -15,7 +15,6 @@ from ramify.filtration import (
     cyclic_discriminant,
     different_exponent_closed,
     different_exponent_oracle,
-    dim_at_level,
     discriminant_exponent,
     herbrand_phi,
     herbrand_psi,
@@ -23,8 +22,6 @@ from ramify.filtration import (
     lower_filtration,
     orthogonal_index,
     space_model,
-    splitting_data,
-    tres_ramifiee_discriminant,
     upper_filtration,
 )
 
@@ -76,34 +73,6 @@ class TestFieldParams:
 
     def test_regular_flag(self):
         assert Q3.regular and not P321Z.regular and not CHAR3.regular
-
-
-class TestSplittingData:
-    def test_qp_preset(self):
-        assert splitting_data(Q3) == (2, 1, 2)
-        assert splitting_data(FieldParams(p=5, f=1, e=1, zeta_in_field=False)) == (4, 1, 4)
-
-    def test_s_values(self):
-        assert splitting_data(P321)[0] == 1
-        assert splitting_data(FieldParams(p=5, f=1, e=6, zeta_in_field=False))[0] == 2
-
-    def test_residual_class_order_passthrough(self):
-        s, r, m = splitting_data(
-            FieldParams(p=5, f=2, e=6, zeta_in_field=False), residual_class_order=2
-        )
-        assert (s, r, m) == (2, 2, 4)
-
-    def test_unknown_residual_degree(self):
-        s, r, m = splitting_data(FieldParams(p=3, f=2, e=2, zeta_in_field=False))
-        assert s == 1 and r is None and m is None
-
-    def test_undefined_cases(self):
-        with pytest.raises(ValueError, match="splitting undefined"):
-            splitting_data(P321Z)
-        with pytest.raises(ValueError, match="splitting undefined"):
-            splitting_data(CHAR3)
-        with pytest.raises(ValueError, match="residual class order must be positive"):
-            splitting_data(Q3, residual_class_order=-1)
 
 
 class TestFiltrations:
@@ -182,12 +151,19 @@ class TestFiltrations:
         assert u.dim_at(Fraction(5, 2)) == 0
 
     def test_jump_validation(self):
-        with pytest.raises(ValueError):
-            RamificationFiltration(p=3, numbering="upper", jumps=((1, 1), (-1, 1)))
+        def upper(jumps):
+            return RamificationFiltration(jumps=jumps, p=3, numbering="upper")
+
+        for build in (FilteredSpace, upper):
+            for jumps in (((1, 1), (-1, 1)), ((1, 1), (1, 1))):
+                with pytest.raises(ValueError, match="strictly increase"):
+                    build(jumps)
+            with pytest.raises(ValueError, match="codimensions must be positive"):
+                build(((1, 1), (2, 0)))
         with pytest.raises(ValueError, match="numbering must be"):
-            RamificationFiltration(p=3, numbering="middle", jumps=((1, 1),))
-        with pytest.raises(ValueError, match="codimensions must be positive"):
-            RamificationFiltration(p=3, numbering="upper", jumps=((1, 1), (2, 0)))
+            RamificationFiltration(jumps=((1, 1),), p=3, numbering="middle")
+        with pytest.raises(ValueError, match="prime"):
+            RamificationFiltration(jumps=((1, 1),), p=4, numbering="upper")
 
 
 class TestHerbrand:
@@ -233,7 +209,7 @@ class TestHerbrand:
         trunc = upper_filtration(CHAR3, max_index=4)
         with pytest.raises(ValueError):
             herbrand_psi(trunc)
-        lower = RamificationFiltration(p=3, numbering="lower", jumps=((1, 1),), truncated=True)
+        lower = RamificationFiltration(jumps=((1, 1),), p=3, numbering="lower", truncated=True)
         with pytest.raises(ValueError, match="truncated"):
             herbrand_phi(lower)
 
@@ -261,7 +237,7 @@ class TestHerbrand:
             assert all(type(v) is Fraction for point in m.breakpoints for v in point)
 
     def test_non_integral_breakpoint_falls_back_to_fraction(self):
-        lower = RamificationFiltration(3, "lower", ((-1, 1), (1, 1), (2, 1)))
+        lower = RamificationFiltration(jumps=((-1, 1), (1, 1), (2, 1)), p=3, numbering="lower")
         phi = herbrand_phi(lower)
         assert phi == _transition_reference(lower, -1)
         assert phi.breakpoints[-1] == (2, Fraction(4, 3))
@@ -328,14 +304,14 @@ class TestIndexTable:
 
 class TestDifferent:
     def test_oracle_known_values(self):
-        unramified = RamificationFiltration(p=3, numbering="lower", jumps=((-1, 1),))
+        unramified = RamificationFiltration(jumps=((-1, 1),), p=3, numbering="lower")
         assert different_exponent_oracle(unramified) == 0
         assert different_exponent_oracle(lower_filtration(Q3)) == 4
         assert different_exponent_oracle(lower_filtration(P321)) == 22
 
     def test_oracle_rejects_truncated(self):
         cut = RamificationFiltration(
-            p=3, numbering="lower", jumps=((-1, 1), (1, 1)), truncated=True
+            jumps=((-1, 1), (1, 1)), p=3, numbering="lower", truncated=True
         )
         with pytest.raises(ValueError, match="infinite"):
             different_exponent_oracle(cut)
@@ -370,35 +346,33 @@ class TestDifferent:
 
 class TestCyclicDiscriminant:
     def test_known_values(self):
-        assert cyclic_discriminant(Q3, 1) == (4, 2)
-        assert cyclic_discriminant(FieldParams(p=2, f=1, e=3), 3) == (6, 5)
-        assert cyclic_discriminant(CHAR3, 7) == (2 * (1 + b_upper(7, 3)), 2 * b_upper(7, 3))
+        assert cyclic_discriminant(3, b_upper(1, 3)) == 4
+        assert cyclic_discriminant(2, b_upper(3, 2)) == 6
+        assert cyclic_discriminant(3, b_upper(7, 3)) == 2 * (1 + b_upper(7, 3))
+        assert cyclic_discriminant(5, -1) == 0  # unramified
 
     def test_range_checks(self):
-        with pytest.raises(ValueError):
-            cyclic_discriminant(Q3, 0)
-        with pytest.raises(ValueError):
-            cyclic_discriminant(Q3, 2)
+        with pytest.raises(ValueError, match="at least -1"):
+            cyclic_discriminant(3, -2)
+        with pytest.raises(ValueError, match="prime"):
+            cyclic_discriminant(4, 1)
 
     def test_tres_ramifiee_c_is_pe(self):
-        assert tres_ramifiee_discriminant(P321Z)[1] == 3 * 2
-        assert tres_ramifiee_discriminant(Q2)[1] == 2
-        assert tres_ramifiee_discriminant(FieldParams(p=5, f=2, e=8, zeta_in_field=True))[1] == 40
-
-    def test_tres_ramifiee_undefined(self):
-        with pytest.raises(ValueError):
-            tres_ramifiee_discriminant(Q3)
-        with pytest.raises(ValueError):
-            tres_ramifiee_discriminant(CHAR3)
+        # The tres ramifiee break p*e/(p-1) is the last upper jump; c = d - (p-1) = p*e.
+        for params in (P321Z, Q2, FieldParams(p=5, f=2, e=8, zeta_in_field=True)):
+            p, e = params.p, params.e
+            tres = upper_filtration(params).locations[-1]
+            assert tres == p * e // (p - 1)
+            assert cyclic_discriminant(p, tres) - (p - 1) == p * e
 
 
 class TestSpaceModels:
     def test_v_space_known_values(self):
         v = space_model(Q3)
         assert v.total_dim == 2
-        assert list(v.jumps) == [(3, 1), (1, 1)]
+        assert list(v.jumps) == [(1, 1), (3, 1)]
         v2 = space_model(P321)
-        assert list(v2.jumps) == [(3, 1), (2, 1), (1, 1)]
+        assert v2 == FilteredSpace(((1, 1), (2, 1), (3, 1)))
 
     def test_v_space_dimension_grid(self):
         for p in (3, 5, 7):
@@ -410,14 +384,14 @@ class TestSpaceModels:
     def test_unit_space_known_values(self):
         u = space_model(Q2)
         assert u.total_dim == 3
-        assert list(u.jumps) == [(2, 1), (1, 1), (0, 1)]
+        assert u == FilteredSpace(((0, 1), (1, 1), (2, 1)))
         u2 = space_model(P321Z)
         assert u2.total_dim == 4
-        assert list(u2.jumps) == [(3, 1), (2, 1), (1, 1), (0, 1)]
+        assert u2 == FilteredSpace(((0, 1), (1, 1), (2, 1), (3, 1)))
 
     def test_unit_space_char_p(self):
         w = space_model(CHAR3, level=5)
-        assert list(w.jumps) == [(0, 1), (-1, 1), (-2, 1), (-4, 1), (-5, 1)]
+        assert w == FilteredSpace(((-5, 1), (-4, 1), (-2, 1), (-1, 1), (0, 1)))
         with pytest.raises(ValueError):
             space_model(CHAR3)
         # The level picks a finite quotient, which only characteristic p has.
@@ -425,11 +399,9 @@ class TestSpaceModels:
             space_model(Q2, level=3)
 
     def test_dim_at_level(self):
+        # The member at an index holds the codims at that index and deeper.
         v = space_model(P321)
-        assert dim_at_level(v, 3) == 1
-        assert dim_at_level(v, 2) == 2
-        assert dim_at_level(v, 1) == 3
-        assert dim_at_level(v, 4) == 0
+        assert [v.dim_at(j) for j in (0, 1, 2, 3, 4)] == [3, 3, 2, 1, 0]
 
 
 class TestBreakOfLine:
@@ -479,9 +451,9 @@ class TestOrthogonality:
 
 
 def test_filtered_space_validation():
-    with pytest.raises(ValueError):
-        FilteredSpace(label="V_regular", jumps=((1, 1), (3, 1)))
-    with pytest.raises(ValueError, match="codimensions must be positive"):
-        FilteredSpace(label="V_regular", jumps=((3, 1), (1, 0)))
-    with pytest.raises(ValueError, match="unknown space label"):
-        FilteredSpace(label="W", jumps=((3, 1),))
+    # Any increasing jump list builds a space; no regime or label is needed.
+    assert FilteredSpace(((-7, 2), (0, 1), (5, 3))).total_dim == 6
+    assert FilteredSpace(()).total_dim == 0
+    # A filtration is a space with more data, so the two never compare equal.
+    jumps = ((-1, 1), (1, 1))
+    assert RamificationFiltration(jumps=jumps, p=3, numbering="upper") != FilteredSpace(jumps)

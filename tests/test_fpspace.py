@@ -16,6 +16,7 @@ from ramify.fpspace import (
     mat_mul,
     mat_pow,
     multiplicative_order,
+    rref,
 )
 
 
@@ -194,6 +195,8 @@ _WIDE = FpMatrix(3, [[1, 0, 0], [0, 1, 0]])
         pytest.param(lambda: mat_inverse(_WIDE), "must be square", id="inverse-shape"),
         pytest.param(lambda: mat_inverse(FpMatrix(3, [[1, 2], [2, 1]])), "not invertible", id="inverse-singular"),
         pytest.param(lambda: FpSubspace(4, 1, [(1,)]), "prime", id="subspace-p"),
+        pytest.param(lambda: rref(4, [[1, 2], [2, 1]]), "prime", id="rref-p"),
+        pytest.param(lambda: rref(1, [[1]]), "prime", id="rref-p-one"),
         pytest.param(lambda: FpSubspace(3, 2, [(1, 0, 0)]), "dimension mismatch", id="subspace-dim"),
         pytest.param(lambda: full_space(3, 2).contains_vector((1, 0, 0)), "dimension mismatch", id="vector-dim"),
         pytest.param(lambda: full_space(3, 2).contains(full_space(3, 3)), "mismatched ambient", id="ambient-dim"),

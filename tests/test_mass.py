@@ -257,10 +257,10 @@ def _per_vector_mass(params, level=None):
     space = space_model(params, level=level)
     p, q = params.p, params.q
     coord_index = []
-    for idx, codim in space.jumps:
+    for idx, codim in reversed(space.jumps):
         coord_index.extend([idx] * codim)
     contribution_at = {}
-    for idx in space.indices:
+    for idx in space.locations:
         brk = break_of_line(space, idx, params)
         contribution_at[idx] = Fraction(0) if brk == -1 else Fraction(1, q ** ((p - 1) * brk))
     dim = len(coord_index)
