@@ -56,10 +56,10 @@ print("\np=3, e=2, f=1, zeta inside")
 print("  upper breaks:", upper_filtration(zeta).locations)
 print("  lower breaks:", lower_filtration(zeta).locations)
 
-# Case 3: characteristic p. The group is infinite; upper numbering is
-# truncated for display, and each finite quotient level m carries a
-# complete lower numbering.
+# Case 3: characteristic p. The group is infinite, so each model takes a
+# level m and describes the finite level-m quotient: its upper breaks are
+# the b_upper(i) <= m (the first 6 at m=8), with a complete lower numbering.
 charp = FieldParams(p=3, f=1, characteristic=3)
 print("\ncharacteristic 3, f=1")
-print("  upper breaks (first 6):", upper_filtration(charp, max_index=6).locations)
-print("  lower breaks at level m=5:", lower_filtration(charp, max_index=5).locations)
+print("  upper breaks at level m=8 (first 6):", upper_filtration(charp, level=8).locations)
+print("  lower breaks at level m=5:", lower_filtration(charp, level=5).locations)

@@ -239,16 +239,21 @@ def _parse_params(args: argparse.Namespace) -> FieldParams:
 
 def _cmd_report(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
-    upper = upper_filtration(params, max_index=args.max_index)
-    # Characteristic p has lower numbering only on the level-m quotient that
-    # --m picks; without it the space model has the breaks of `upper`.
-    lower = None if upper.truncated and args.m is None else lower_filtration(params, args.m)
-    level = args.m if lower is not None else b_upper(args.max_index, params.p)
-    space, label = space_model(params, level=level), _space_label(params)
+    char_p = params.characteristic != 0
+    # In characteristic p, --max-index n shows the upper breaks of the level
+    # b_upper(n) (an n <= 0 is passed on for the level check to reject). The
+    # lower breaks need the quotient that --m picks; the space model is at
+    # that level, or else at the shown one.
+    n = args.max_index
+    shown = (b_upper(n, params.p) if n > 0 else n) if char_p else None
+    upper = upper_filtration(params, shown)
+    lower = None if char_p and args.m is None else lower_filtration(params, args.m)
+    space = space_model(params, args.m if args.m is not None else shown)
+    label = _space_label(params)
     table = index_table(params) if params.regular else None
     different = different_exponent_closed(params) if params.regular else None
     discriminant = discriminant_exponent(params) if params.regular else None
-    report = cyclic_mass(params, display_rows=args.max_index)
+    report = cyclic_mass(params, display_rows=n)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -268,7 +273,7 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
         }
         return [_json(doc)]
     lines = _params_text(params)
-    trunc = " (truncated)" if upper.truncated else ""
+    trunc = " (truncated)" if char_p else ""
     lines.append(f"upper breaks{trunc}: {', '.join(str(x) for x in upper.locations)}")
     if lower is not None:
         lines.append(f"lower breaks: {', '.join(str(x) for x in lower.locations)}")
@@ -333,7 +338,7 @@ def _cmd_herbrand(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
     if params.characteristic != 0 and args.m is None:
         raise ValueError("characteristic p needs --m to pick a finite quotient")
-    phi = herbrand_phi(lower_filtration(params, max_index=args.m))
+    phi = herbrand_phi(lower_filtration(params, args.m))
     psi = phi.inverse()
     if args.format == "json":
         doc = {

@@ -19,9 +19,10 @@ Three parameter regimes are supported:
   F_p-dimension 1 + ef, upper breaks at -1 and b_upper(1..e);
 * characteristic 0, zeta_p in F (forces (p-1) | e; automatic for p = 2):
   dimension 2 + ef, one extra upper break at p*e/(p-1);
-* characteristic p (zeta_p in F by convention): G is infinite; upper
-  numbering is reported as a truncation, while lower numbering lives on the
-  finite quotients cut out by the level-m Artin-Schreier spaces.
+* characteristic p (zeta_p in F by convention): G is infinite, so every
+  model takes a level m and describes the finite quotient cut out by the
+  level-m Artin-Schreier space. Upper numbering passes to quotients, so its
+  upper breaks are the b_upper(i) <= m, and both filtrations are complete.
 
 Locations and indices are exact integers; Herbrand maps carry exact rational
 breakpoints and slopes.
@@ -62,13 +63,7 @@ __all__ = [
     "space_model",
     "break_of_line",
     "orthogonal_index",
-    "BELOW_BREAK_RANGE",
-    "ABOVE_BREAK_RANGE",
 ]
-
-# Boundary tags returned by orthogonal_index outside [1, b_upper(e)].
-BELOW_BREAK_RANGE = "below_break_range"
-ABOVE_BREAK_RANGE = "above_break_range"
 
 
 @dataclass(frozen=True)
@@ -182,14 +177,12 @@ class RamificationFiltration(FilteredSpace):
     """Filtration of a pro-p group G in upper or lower numbering.
 
     The member at numbering value u drops by a factor of p^codim as u
-    crosses a jump. total_dim is the F_p-dimension of G, except that
-    truncated filtrations only model an initial stretch of an infinite
-    group, in which case it covers just the listed jumps.
+    crosses a jump. total_dim is the F_p-dimension of G; in characteristic
+    p, G is the finite level-m quotient of the infinite group.
     """
 
     p: int
     numbering: str
-    truncated: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -217,51 +210,49 @@ def _tres_break(params: FieldParams) -> Optional[int]:
     return _space_scale(params)[1]
 
 
-def _require_char_p_bound(max_index: Optional[int]) -> int:
-    if max_index is None or max_index < 1:
+def _break_count(params: FieldParams, level: Optional[int]) -> int:
+    """Number of prime-to-p breaks a model holds: e in characteristic 0, and
+    c_truncation(m) on the level-m quotient in characteristic p, where the
+    level is required."""
+    if params.characteristic == 0:
+        if level is not None:
+            raise ValueError("level applies to characteristic p only")
+        return params.e
+    if level is None or level < 1:
         raise ValueError("characteristic p needs a positive truncation index")
-    return max_index
+    return c_truncation(level, params.p)
 
 
 def upper_filtration(
-    params: FieldParams, max_index: Optional[int] = None
+    params: FieldParams, level: Optional[int] = None
 ) -> RamificationFiltration:
     """Ramification filtration of G in upper numbering.
 
-    Characteristic 0: complete, with breaks at -1 and b_upper(1..e), each
-    positive break of codimension f, plus a final codimension-1 break at
-    p*e/(p-1) when zeta is in the field. Characteristic p: infinite; the
-    first max_index positive breaks are listed and the result is marked
-    truncated.
+    Characteristic 0: breaks at -1 and b_upper(1..e), each positive break of
+    codimension f, plus a final codimension-1 break at p*e/(p-1) when zeta
+    is in the field. Characteristic p: the filtration of the level-m quotient
+    (level = m), whose positive breaks are the b_upper(i) <= m.
     """
-    truncated = params.characteristic != 0
-    count = _require_char_p_bound(max_index) if truncated else params.e
+    count = _break_count(params, level)
     jumps = [(-1, 1)] + [(b, params.f) for b in prime_to_p_breaks(params.p, count)]
     tres = _tres_break(params)
     if tres is not None:
         jumps.append((tres, 1))
-    return RamificationFiltration(
-        jumps=tuple(jumps), p=params.p, numbering="upper", truncated=truncated
-    )
+    return RamificationFiltration(jumps=tuple(jumps), p=params.p, numbering="upper")
 
 
 def lower_filtration(
-    params: FieldParams, max_index: Optional[int] = None
+    params: FieldParams, level: Optional[int] = None
 ) -> RamificationFiltration:
     """Ramification filtration in lower numbering.
 
     Characteristic 0: breaks at -1 and b_lower(1..e), plus b_lower(e) + q^e
-    when zeta is in the field. Characteristic p: lower numbering only exists
-    on finite quotients; max_index is the level m of the quotient, whose
-    breaks sit at -1 and at b_lower(i) for i in [1, c_truncation(m)]. That
-    filtration is complete (the quotient group is finite), so it is not
-    marked truncated.
+    when zeta is in the field. Characteristic p: the filtration of the
+    level-m quotient (level = m), with breaks at -1 and at b_lower(i) for
+    i in [1, c_truncation(m)].
     """
     p, f, q = params.p, params.f, params.q
-    if params.characteristic == 0:
-        count = params.e
-    else:
-        count = c_truncation(_require_char_p_bound(max_index), p)
+    count = _break_count(params, level)
     rows = break_sequence(p, q, count)
     jumps = [(-1, 1)] + [(lower, f) for *_, lower in rows]
     tres = _tres_break(params)
@@ -323,8 +314,6 @@ def _transition(filtration: RamificationFiltration, exponent_sign: int) -> Herbr
     each segment's rise divides exactly, as it does for the filtrations of
     this module; a hand-built filtration can need a Fraction.
     """
-    if filtration.truncated:
-        raise ValueError("cannot build the transition of a truncated filtration")
     p = filtration.p
     points = [(Fraction(0), Fraction(0))]
     slopes: list[Fraction] = []
@@ -388,13 +377,10 @@ def different_exponent_oracle(lower: RamificationFiltration) -> int:
     """Valuation of the different by direct summation over lower numbering.
 
     Sums (order of the group at l) - 1 over integers l >= 0, segment by
-    segment so that huge break values stay cheap. Needs a complete
-    lower-numbering filtration.
+    segment so that huge break values stay cheap.
     """
     if lower.numbering != "lower":
         raise ValueError("the oracle consumes a lower-numbering filtration")
-    if lower.truncated:
-        raise ValueError("cannot sum an infinite filtration")
     p = lower.p
     total = 0
     prev_loc: Optional[int] = None
@@ -449,18 +435,10 @@ def space_model(params: FieldParams, level: Optional[int] = None) -> FilteredSpa
       unit-filtration levels; top = p*e1 and s = 1, so the tres ramifiee
       break p*e1 lands on index 0. Dimension 2 + ef.
     * characteristic p (wp_char_p): the level-m Artin-Schreier space, which
-      holds the c_truncation(m) breaks b_upper(i) <= m; top = 0 and s = 1,
-      so pole order b is stored as index -b. `level` (= m) is required,
-      since the full space is infinite-dimensional, and is rejected in
-      characteristic 0.
+      holds the breaks b_upper(i) <= m of upper_filtration(params, m);
+      top = 0 and s = 1, so pole order b is stored as index -b.
     """
-    if params.characteristic == 0:
-        if level is not None:
-            raise ValueError("level applies to characteristic p only")
-        upper = upper_filtration(params)
-    else:
-        count = c_truncation(_require_char_p_bound(level), params.p)
-        upper = upper_filtration(params, max_index=count)
+    upper = upper_filtration(params, level)
     s, top = _space_scale(params)
     jumps = ((top - s * max(b, 0), codim) for b, codim in reversed(upper.jumps))
     return FilteredSpace(tuple(jumps))
@@ -480,26 +458,19 @@ def break_of_line(space: FilteredSpace, index: int, params: FieldParams) -> int:
     return (top - index) // _space_scale(params)[0]
 
 
-def orthogonal_index(
-    u: Union[int, Fraction], params: FieldParams
-) -> Union[int, str]:
+def orthogonal_index(u: Union[int, Fraction], params: FieldParams) -> int:
     """Index in the V model of the annihilator of the upper subgroup at u.
 
-    For u in [1, b_upper(e)] the annihilator under the Kummer pairing is the
-    V-filtration member at index p*e1*s - ceil(u)*s + 1. Outside that range
-    the subgroup is pinned: for -1 < u < 1 it equals the full inertia group
-    (tag BELOW_BREAK_RANGE) and for u > b_upper(e) it is trivial, with the
-    whole space as annihilator (tag ABOVE_BREAK_RANGE).
+    The annihilator under the Kummer pairing is the V-filtration member at
+    index p*e1*s - max(ceil(u), 1)*s + 1, for every u > -1. For u < 1 the
+    subgroup is the full inertia group, whose annihilator is the unramified
+    line; past b_upper(e) it is trivial, and the index lies at or below the
+    shallowest jump, where the member is the whole space.
     """
     if not params.regular:
         raise ValueError("orthogonality is defined for the regular case only")
     u = Fraction(u)
     if u <= -1:
         raise ValueError("u must exceed -1")
-    top_break = b_upper(params.e, params.p)
-    if u < 1:
-        return BELOW_BREAK_RANGE
-    if u > top_break:
-        return ABOVE_BREAK_RANGE
     s, top = _space_scale(params)
-    return top - math.ceil(u) * s + 1
+    return top - max(math.ceil(u), 1) * s + 1

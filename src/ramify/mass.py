@@ -167,9 +167,7 @@ def average_c_closed_form(p: int) -> Fraction:
     return Fraction(p ** (p + 2) - p ** (p + 1) - p**p + 1, p**p - 1)
 
 
-def brute_force_mass(
-    params: FieldParams, char_p_level: Optional[int] = None
-) -> Fraction:
+def brute_force_mass(params: FieldParams, level: Optional[int] = None) -> Fraction:
     """Oracle: enumerate the lines of the filtered-space model and sum q^{-c}.
 
     A line's depth depends only on which coordinates of its canonical
@@ -181,12 +179,12 @@ def brute_force_mass(
     c = cyclic_discriminant(p, break) - (p-1).
     Exercises the line-counting combinatorics rather than assuming it.
 
-    In characteristic p the full space is infinite, so char_p_level (the
-    level m of the finite quotient) is required and the result is the exact
-    mass of the extensions with break <= m. In characteristic 0 the result
-    is the complete cyclic mass and char_p_level must be omitted.
+    The space is space_model(params, level), so in characteristic 0 the
+    result is the complete cyclic mass, and in characteristic p, where the
+    level m is required, it is the exact mass of the extensions with break
+    <= m.
     """
-    space = space_model(params, level=char_p_level)
+    space = space_model(params, level)
     p, q = params.p, params.q
     dim = space.total_dim
     if p**dim > LINE_ENUMERATION_BOUND:

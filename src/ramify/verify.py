@@ -16,8 +16,6 @@ from typing import Callable
 from . import breaks, fpspace, mass
 from .rationals import geometric_sum_finite
 from .filtration import (
-    ABOVE_BREAK_RANGE,
-    BELOW_BREAK_RANGE,
     FieldParams,
     different_exponent_closed,
     different_exponent_oracle,
@@ -260,12 +258,11 @@ def check_orthogonality() -> None:
         top_break = breaks.b_upper(params.e, params.p)
         mesh = [1 + Fraction(k * (top_break - 1), 19) for k in range(20)]
         mesh += [Fraction(k, 4) for k in range(4, 4 * top_break + 1)]
+        # Below the first break and past the last one.
+        mesh += [Fraction(-1, 2), Fraction(1, 2), Fraction(top_break + 1)]
         for u in mesh:
             idx = orthogonal_index(u, params)
-            assert isinstance(idx, int)
             assert up.dim_at(u) + space.dim_at(idx) == 1 + params.e * params.f
-        assert orthogonal_index(Fraction(1, 2), params) == BELOW_BREAK_RANGE
-        assert orthogonal_index(top_break + 1, params) == ABOVE_BREAK_RANGE
 
 
 def check_mass_brute_vs_closed() -> None:
@@ -282,7 +279,7 @@ def check_mass_char_p_partial() -> None:
             continue
         p, q = params.p, params.q
         count = breaks.c_truncation(m, p)
-        partial = mass.brute_force_mass(params, char_p_level=m)
+        partial = mass.brute_force_mass(params, m)
         expected = (
             Fraction(p, q)
             * Fraction(q - 1, p - 1)

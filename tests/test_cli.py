@@ -76,6 +76,17 @@ GOLDEN_CASES = [
     (["mass", "--p", "2", "--f", "3", "--char", "p"], "mass_p2_f3_charp.txt"),
     (["breaks", "--p", "5", "--e", "6"], "breaks_p5_f1_e6.txt"),
     (["herbrand", "--p", "3", "--e", "2", "--zeta", "out"], "herbrand_p3_e2_f1_regular.txt"),
+    # --m above the shown level: upper breaks to level 5, lower breaks and the
+    # space model (dim 11) at level 9.
+    (
+        ["report", "--p", "2", "--f", "2", "--char", "p", "--max-index", "3", "--m", "9"],
+        "report_p2_f2_charp_m9.txt",
+    ),
+    (
+        ["report", "--p", "2", "--f", "2", "--char", "p", "--max-index", "3", "--m", "9",
+         "--format", "json"],
+        "report_p2_f2_charp_m9.json",
+    ),
 ]
 
 

@@ -1,12 +1,9 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from ramify.breaks import b_lower, b_upper
 from ramify.filtration import (
-    ABOVE_BREAK_RANGE,
-    BELOW_BREAK_RANGE,
     FieldParams,
     FilteredSpace,
     HerbrandMap,
@@ -79,7 +76,7 @@ class TestFiltrations:
     def test_upper_regular(self):
         u = upper_filtration(Q3)
         assert list(u.jumps) == [(-1, 1), (1, 1)]
-        assert u.total_dim == 2 and not u.truncated
+        assert u.total_dim == 2
 
     def test_upper_zeta(self):
         u = upper_filtration(P321Z)
@@ -87,9 +84,9 @@ class TestFiltrations:
         assert u.total_dim == 4
 
     def test_upper_char_p_truncated(self):
-        u = upper_filtration(FieldParams(p=2, f=1, characteristic=2), max_index=3)
+        # The level-5 quotient has the upper breaks b_upper(i) <= 5.
+        u = upper_filtration(FieldParams(p=2, f=1, characteristic=2), level=5)
         assert list(u.jumps) == [(-1, 1), (1, 1), (3, 1), (5, 1)]
-        assert u.truncated
 
     def test_lower_regular(self):
         low = lower_filtration(P321)
@@ -102,10 +99,9 @@ class TestFiltrations:
         assert list(deep.locations) == [-1, 1, 4, 4 + 9]
 
     def test_lower_char_p_is_complete_quotient(self):
-        low = lower_filtration(CHAR3, max_index=5)
+        low = lower_filtration(CHAR3, level=5)
         assert list(low.locations) == [-1, 1, 4, 22, 49]
-        assert not low.truncated
-        assert low.total_dim == 5
+        assert low.total_dim == upper_filtration(CHAR3, 5).total_dim == 5
 
     @pytest.mark.parametrize(
         "params,m",
@@ -117,14 +113,9 @@ class TestFiltrations:
     )
     def test_lower_breaks_match_closed_form_and_psi_at_scale(self, params, m):
         p, q = params.p, params.q
-        low = lower_filtration(params, max_index=m)
-        if m is None:
-            count = params.e
-            up = upper_filtration(params)
-        else:
-            count = m - m // p
-            # The level-m quotient is finite: its upper filtration is complete.
-            up = dataclasses.replace(upper_filtration(params, max_index=count), truncated=False)
+        low = lower_filtration(params, m)
+        up = upper_filtration(params, m)
+        count = params.e if m is None else m - m // p
         closed = [b_lower(i, p, q) for i in range(1, count + 1)]
         assert list(low.locations[1 : count + 1]) == closed
         psi = herbrand_psi(up)
@@ -205,16 +196,18 @@ class TestHerbrand:
         with pytest.raises(ValueError):
             herbrand_phi(upper_filtration(Q3))
 
-    def test_truncated_rejected(self):
-        trunc = upper_filtration(CHAR3, max_index=4)
-        with pytest.raises(ValueError):
-            herbrand_psi(trunc)
-        lower = RamificationFiltration(jumps=((1, 1),), p=3, numbering="lower", truncated=True)
-        with pytest.raises(ValueError, match="truncated"):
-            herbrand_phi(lower)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_char_p_quotient_psi_inverts_phi(self, p, f):
+        # Upper numbering passes to the level-m quotient, so psi of its upper
+        # filtration inverts phi of its lower one.
+        params = FieldParams(p=p, f=f, characteristic=p)
+        for m in range(1, 13):
+            psi = herbrand_psi(upper_filtration(params, m))
+            assert psi == herbrand_phi(lower_filtration(params, m)).inverse()
 
     def test_char_p_quotient_maps(self):
-        phi = herbrand_phi(lower_filtration(CHAR3, max_index=5))
+        phi = herbrand_phi(lower_filtration(CHAR3, level=5))
         psi = phi.inverse()
         assert psi(Fraction(2)) == 4
         assert psi(Fraction(4)) == 22
@@ -310,13 +303,12 @@ class TestDifferent:
         assert different_exponent_oracle(lower_filtration(P321)) == 22
 
     def test_oracle_rejects_truncated(self):
-        cut = RamificationFiltration(
-            jumps=((-1, 1), (1, 1)), p=3, numbering="lower", truncated=True
-        )
-        with pytest.raises(ValueError, match="infinite"):
-            different_exponent_oracle(cut)
+        # A characteristic-p filtration is its level-m quotient's, which the
+        # oracle sums like any other; what it still refuses is upper numbering.
         with pytest.raises(ValueError, match="lower-numbering"):
             different_exponent_oracle(upper_filtration(Q3))
+        with pytest.raises(ValueError, match="lower-numbering"):
+            different_exponent_oracle(upper_filtration(CHAR3, 5))
 
     def test_closed_form_known_values(self):
         assert different_exponent_closed(Q3) == 4
@@ -392,11 +384,6 @@ class TestSpaceModels:
     def test_unit_space_char_p(self):
         w = space_model(CHAR3, level=5)
         assert w == FilteredSpace(((-5, 1), (-4, 1), (-2, 1), (-1, 1), (0, 1)))
-        with pytest.raises(ValueError):
-            space_model(CHAR3)
-        # The level picks a finite quotient, which only characteristic p has.
-        with pytest.raises(ValueError, match="characteristic p only"):
-            space_model(Q2, level=3)
 
     def test_dim_at_level(self):
         # The member at an index holds the codims at that index and deeper.
@@ -441,13 +428,29 @@ class TestOrthogonality:
         be = b_upper(3, 5)
         assert orthogonal_index(Fraction(be), params) == top - be * s + 1
 
-    def test_boundary_tags(self):
-        assert orthogonal_index(Fraction(1, 2), P321) == BELOW_BREAK_RANGE
-        assert orthogonal_index(Fraction(5), P321) == ABOVE_BREAK_RANGE
+    def test_outside_the_break_range(self):
+        # Below the first break the annihilator is the unramified line at
+        # index top = 3; past b_upper(e) = 2 it is the whole space.
+        assert orthogonal_index(Fraction(-1, 2), P321) == 3
+        assert orthogonal_index(Fraction(1, 2), P321) == 3
+        assert orthogonal_index(Fraction(5), P321) == -1
         with pytest.raises(ValueError):
             orthogonal_index(Fraction(-2), P321)
         with pytest.raises(ValueError, match="regular case only"):
             orthogonal_index(Fraction(1), P321Z)
+
+    def test_complementarity_at_every_quarter_step(self):
+        # The index is total on u > -1: the annihilator's dimension always
+        # complements the subgroup's, below, inside and past the break range.
+        for p in (3, 5, 7):
+            for e in range(1, 7):
+                for f in range(1, 4):
+                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
+                    up, space = upper_filtration(params), space_model(params)
+                    for k in range(-3, 4 * (b_upper(e, p) + 3) + 1):
+                        u = Fraction(k, 4)
+                        idx = orthogonal_index(u, params)
+                        assert up.dim_at(u) + space.dim_at(idx) == 1 + e * f
 
 
 def test_filtered_space_validation():

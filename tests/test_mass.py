@@ -4,7 +4,13 @@ from itertools import product
 import pytest
 
 from ramify.breaks import b_upper, c_truncation
-from ramify.filtration import FieldParams, break_of_line, space_model
+from ramify.filtration import (
+    FieldParams,
+    break_of_line,
+    lower_filtration,
+    space_model,
+    upper_filtration,
+)
 from ramify.fpspace import count_lines
 from ramify.mass import (
     average_c_closed_form,
@@ -223,16 +229,20 @@ class TestBruteForce:
 
     def test_char_p_partial_sum(self):
         level = 5
-        got = brute_force_mass(CHAR3, char_p_level=level)
+        got = brute_force_mass(CHAR3, level)
         rows = cyclic_mass(CHAR3, display_rows=c_truncation(level, 3)).per_break
         assert got == sum(c for *_, c in rows)
         assert got < cyclic_mass(CHAR3).total
 
     def test_char_p_needs_level(self):
-        with pytest.raises(ValueError):
-            brute_force_mass(CHAR3)
-        with pytest.raises(ValueError):
-            brute_force_mass(Q3, char_p_level=3)
+        # The four models of a field read the level alike: characteristic p
+        # needs a positive one, and characteristic 0 takes none.
+        for model in (upper_filtration, lower_filtration, space_model, brute_force_mass):
+            for level in (None, 0, -2):
+                with pytest.raises(ValueError, match="needs a positive truncation index"):
+                    model(CHAR3, level)
+            with pytest.raises(ValueError, match="level applies to characteristic p only"):
+                model(Q3, level=3)
 
     def test_enumeration_guard(self):
         big = FieldParams(p=7, f=2, e=6, zeta_in_field=False)

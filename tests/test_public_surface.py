@@ -24,6 +24,8 @@ REMOVED = {
     "V_REGULAR",
     "UBAR_ZETA",
     "WP_CHAR_P",
+    "BELOW_BREAK_RANGE",
+    "ABOVE_BREAK_RANGE",
 }
 
 
