@@ -21,7 +21,6 @@ from .filtration import (
     HerbrandMap,
     RamificationFiltration,
     cyclic_discriminant,
-    different_exponent_closed,
     different_exponent_oracle,
     discriminant_exponent,
     herbrand_phi,
@@ -79,7 +78,6 @@ __all__ = [
     "cyclic_discriminant",
     "cyclic_mass",
     "decimal_string",
-    "different_exponent_closed",
     "different_exponent_oracle",
     "discriminant_exponent",
     "eigenspace",

@@ -26,7 +26,6 @@ from .breaks import b_upper, break_sequence
 from .filtration import (
     FieldParams,
     HerbrandMap,
-    different_exponent_closed,
     discriminant_exponent,
     herbrand_phi,
     index_table,
@@ -250,9 +249,9 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
     lower = None if char_p and args.m is None else lower_filtration(params, args.m)
     space = space_model(params, args.m if args.m is not None else shown)
     label = _space_label(params)
-    table = index_table(params) if params.regular else None
-    different = different_exponent_closed(params) if params.regular else None
-    discriminant = discriminant_exponent(params) if params.regular else None
+    table = index_table(upper) if params.regular else None
+    discriminant = discriminant_exponent(upper) if params.regular else None
+    different = None if discriminant is None else discriminant // params.p  # residue degree p
     report = cyclic_mass(params, display_rows=n)
     if args.format == "json":
         doc = {

@@ -37,14 +37,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Union
 
-from .breaks import (
-    _check_prime,
-    b_lower,
-    b_upper,
-    break_sequence,
-    c_truncation,
-    prime_to_p_breaks,
-)
+from .breaks import _check_prime, break_sequence, c_truncation, prime_to_p_breaks
 
 __all__ = [
     "FieldParams",
@@ -57,7 +50,6 @@ __all__ = [
     "herbrand_phi",
     "index_table",
     "different_exponent_oracle",
-    "different_exponent_closed",
     "discriminant_exponent",
     "cyclic_discriminant",
     "space_model",
@@ -354,22 +346,23 @@ def herbrand_phi(lower: RamificationFiltration) -> HerbrandMap:
     return _transition(lower, exponent_sign=-1)
 
 
-def index_table(params: FieldParams) -> list[tuple[int, Optional[int], int]]:
+def index_table(upper: RamificationFiltration) -> list[tuple[int, Optional[int], int]]:
     """Index of the upper filtration member inside inertia, per interval.
 
     Rows (lo, hi, index) mean: for u in ]lo, hi] the subgroup at u has index
     `index` in the inertia group; hi = None on the final unbounded row. The
-    first row starts at 0 and the index there is 1. Regular case only.
+    first row starts at 0 and the index there is 1. The rows are the
+    segments and slopes of herbrand_psi(upper), in every regime.
     """
-    if not params.regular:
-        raise ValueError("index table is defined for the regular case only")
-    bounds = [0] + prime_to_p_breaks(params.p, params.e)
+    if upper.numbering != "upper":
+        raise ValueError("the index table reads an upper-numbering filtration")
     rows: list[tuple[int, Optional[int], int]] = []
-    index = 1
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows.append((lo, hi, index))
-        index *= params.q
-    rows.append((bounds[-1], None, index))
+    lo, index = 0, 1
+    for loc, codim in upper.jumps:
+        if loc > 0:
+            rows.append((lo, loc, index))
+            lo, index = loc, index * upper.p**codim
+    rows.append((lo, None, index))
     return rows
 
 
@@ -394,17 +387,22 @@ def different_exponent_oracle(lower: RamificationFiltration) -> int:
     return total
 
 
-def different_exponent_closed(params: FieldParams) -> int:
-    """(1 + b_upper(e)) * q^e - (1 + b_lower(e)), regular case."""
-    if not params.regular:
-        raise ValueError("closed form covers the regular case only")
-    p, q, e = params.p, params.q, params.e
-    return (1 + b_upper(e, p)) * q**e - (1 + b_lower(e, p, q))
+def discriminant_exponent(upper: RamificationFiltration) -> int:
+    """Valuation of the discriminant, by the conductor-discriminant formula.
 
-
-def discriminant_exponent(params: FieldParams) -> int:
-    """Valuation of the discriminant: p times the different exponent."""
-    return params.p * different_exponent_closed(params)
+    The characters with upper break b span (p^hi - p^lo)/(p - 1) lines, where
+    p^lo counts those of break below b and hi = lo + codim; each line adds
+    cyclic_discriminant(p, b). Horner's rule over the jumps, from the top,
+    sums them. The residue degree is p, so the different exponent is this
+    over p, which p * different_exponent_oracle(lower) matches.
+    """
+    if upper.numbering != "upper":
+        raise ValueError("the discriminant reads an upper-numbering filtration")
+    p = upper.p
+    acc = 0
+    for b, codim in reversed(upper.jumps):
+        acc = acc * p**codim + (p**codim - 1) * cyclic_discriminant(p, b)
+    return acc // (p - 1)
 
 
 def cyclic_discriminant(p: int, b: int) -> int:
@@ -459,16 +457,15 @@ def break_of_line(space: FilteredSpace, index: int, params: FieldParams) -> int:
 
 
 def orthogonal_index(u: Union[int, Fraction], params: FieldParams) -> int:
-    """Index in the V model of the annihilator of the upper subgroup at u.
+    """Index in space_model(params) of the annihilator of the upper subgroup at u.
 
-    The annihilator under the Kummer pairing is the V-filtration member at
-    index p*e1*s - max(ceil(u), 1)*s + 1, for every u > -1. For u < 1 the
-    subgroup is the full inertia group, whose annihilator is the unramified
-    line; past b_upper(e) it is trivial, and the index lies at or below the
-    shallowest jump, where the member is the whole space.
+    The annihilator under the Kummer (or Artin-Schreier) pairing is the
+    space's member at index top - max(ceil(u), 1)*s + 1, for every u > -1,
+    in all three regimes and at every level. For u < 1 the subgroup is the
+    full inertia group, whose annihilator is the unramified line; past the
+    last break it is trivial, and the index lies at or below the shallowest
+    jump, where the member is the whole space.
     """
-    if not params.regular:
-        raise ValueError("orthogonality is defined for the regular case only")
     u = Fraction(u)
     if u <= -1:
         raise ValueError("u must exceed -1")

@@ -17,8 +17,8 @@ from . import breaks, fpspace, mass
 from .rationals import geometric_sum_finite
 from .filtration import (
     FieldParams,
-    different_exponent_closed,
     different_exponent_oracle,
+    discriminant_exponent,
     herbrand_phi,
     herbrand_psi,
     index_table,
@@ -48,9 +48,11 @@ def _char0_grid(ps=(2, 3, 5), es=range(1, 7), fs=range(1, 4)):
     return tuple(out)
 
 
-def _regular_grid(es, fs):
-    """The regular (zeta_p not in F) fields with p in {3, 5, 7} over the given ranges."""
-    return [FieldParams(p=p, f=f, e=e, zeta_in_field=False) for p in (3, 5, 7) for e in es for f in fs]
+def _regime_grid(es, fs):
+    """(field, level) of the regular fields, p in {3, 5, 7}, then five of the other regimes."""
+    out = [(FieldParams(p=p, f=f, e=e, zeta_in_field=False), None) for p in (3, 5, 7) for e in es for f in fs]
+    out += [(FieldParams(p=p, f=1, e=p - 1, zeta_in_field=True), None) for p in (2, 3, 5)]
+    return out + [(FieldParams(p=p, f=1, characteristic=p), 7) for p in (2, 3)]
 
 
 def _mass_char0_grid():
@@ -210,10 +212,10 @@ def check_phi_matches_inverted_psi() -> None:
 
 
 def check_different_exponent() -> None:
-    """Closed form = lower-numbering summation oracle on the regular grid."""
-    for params in _regular_grid(es=range(1, 9), fs=range(1, 4)):
-        closed = different_exponent_closed(params)
-        assert closed == different_exponent_oracle(lower_filtration(params))
+    """The conductor-discriminant sum is p times the lower-numbering oracle."""
+    for params, m in _regime_grid(es=range(1, 9), fs=range(1, 4)):
+        disc = discriminant_exponent(upper_filtration(params, m))
+        assert disc == params.p * different_exponent_oracle(lower_filtration(params, m))
 
 
 def check_dimension_bookkeeping() -> None:
@@ -240,10 +242,10 @@ def check_upper_jumps_avoid_p() -> None:
 
 def check_index_table() -> None:
     """Index table matches the filtration's own dim_at on interval samples."""
-    for params in _regular_grid(es=range(1, 7), fs=range(1, 3)):
-        up = upper_filtration(params)
+    for params, m in _regime_grid(es=range(1, 7), fs=range(1, 3)):
+        up = upper_filtration(params, m)
         inertia_dim = up.dim_at(Fraction(1, 2))
-        for lo, hi, index in index_table(params):
+        for lo, hi, index in index_table(up):
             # The group AT a break is the larger one, so hi probes
             # the half-open interval ]lo, hi] correctly.
             probe = Fraction(hi) if hi is not None else Fraction(lo + 1)
@@ -252,17 +254,17 @@ def check_index_table() -> None:
 
 def check_orthogonality() -> None:
     """Annihilator dimensions complement subgroup dimensions exactly."""
-    for params in _regular_grid(es=range(1, 7), fs=range(1, 4)):
-        up = upper_filtration(params)
-        space = space_model(params)
-        top_break = breaks.b_upper(params.e, params.p)
+    for params, m in _regime_grid(es=range(1, 7), fs=range(1, 4)):
+        up = upper_filtration(params, m)
+        space = space_model(params, m)
+        top_break = up.locations[-1]
         mesh = [1 + Fraction(k * (top_break - 1), 19) for k in range(20)]
         mesh += [Fraction(k, 4) for k in range(4, 4 * top_break + 1)]
         # Below the first break and past the last one.
         mesh += [Fraction(-1, 2), Fraction(1, 2), Fraction(top_break + 1)]
         for u in mesh:
             idx = orthogonal_index(u, params)
-            assert up.dim_at(u) + space.dim_at(idx) == 1 + params.e * params.f
+            assert up.dim_at(u) + space.dim_at(idx) == up.total_dim
 
 
 def check_mass_brute_vs_closed() -> None:

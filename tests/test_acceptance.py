@@ -18,8 +18,9 @@ from ramify.cli import run
 from ramify.filtration import (
     FieldParams,
     break_of_line,
-    different_exponent_closed,
+    discriminant_exponent,
     space_model,
+    upper_filtration,
 )
 from ramify.fpspace import enumerate_lines, full_space
 from ramify.mass import (
@@ -97,10 +98,12 @@ def test_criterion_03_herbrand_consistency():
 
 
 def test_criterion_04_different_and_discriminant():
-    """Closed-form different exponent equals the order-sum oracle."""
+    """The conductor-discriminant sum equals p times the order-sum oracle of
+    the different; the different is the discriminant over p."""
     check_different_exponent()
-    assert different_exponent_closed(FieldParams(p=3, f=1, e=1, zeta_in_field=False)) == 4
-    assert different_exponent_closed(FieldParams(p=3, f=1, e=2, zeta_in_field=False)) == 22
+    for e, different in ((1, 4), (2, 22)):
+        upper = upper_filtration(FieldParams(p=3, f=1, e=e, zeta_in_field=False))
+        assert discriminant_exponent(upper) == 3 * different
 
 
 def _break_histogram(params, space):

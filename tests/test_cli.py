@@ -432,6 +432,16 @@ def test_verify_subcommand_reports_failure(monkeypatch):
     assert "deliberately broken" in out
 
 
+def test_cli_import_leaves_the_verify_battery_unloaded():
+    # _cmd_verify imports ramify.verify on demand, so the other commands do
+    # not pay for it; a fresh interpreter shows whether any import pulls it in.
+    code = "import sys, ramify.cli; print('ramify.verify' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 @pytest.mark.parametrize("module", ["ramify", "ramify.cli"])
 def test_python_dash_m_runs_the_cli(module):
     argv = ["breaks", "--p", "5", "--e", "6"]

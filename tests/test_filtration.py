@@ -10,7 +10,6 @@ from ramify.filtration import (
     RamificationFiltration,
     break_of_line,
     cyclic_discriminant,
-    different_exponent_closed,
     different_exponent_oracle,
     discriminant_exponent,
     herbrand_phi,
@@ -27,6 +26,27 @@ Q2 = FieldParams(p=2, f=1, e=1, zeta_in_field=True)
 P321 = FieldParams(p=3, f=1, e=2, zeta_in_field=False)
 P321Z = FieldParams(p=3, f=1, e=2, zeta_in_field=True)
 CHAR3 = FieldParams(p=3, f=1, characteristic=3)
+
+
+def _regimes(p, f, es, levels):
+    """(field, level): the fields of residue characteristic p and degree f over
+    the given e with each zeta setting they allow, then characteristic p at
+    the given levels."""
+    for e in es:
+        for zeta in (False, True):
+            if (zeta or p != 2) and (not zeta or e % (p - 1) == 0):
+                yield FieldParams(p=p, f=f, e=e, zeta_in_field=zeta), None
+    for m in levels:
+        yield FieldParams(p=p, f=f, characteristic=p), m
+
+
+# The grid of every regime: p in {2, 3, 5, 7}, f <= 3, e <= 12, levels m <= 29.
+ALL_REGIMES = [
+    case
+    for p in (2, 3, 5, 7)
+    for f in (1, 2, 3)
+    for case in _regimes(p, f, range(1, 13), range(1, 30))
+]
 
 
 class TestFieldParams:
@@ -282,17 +302,33 @@ def _transition_reference(filtration, sign):
 
 class TestIndexTable:
     def test_known_tables(self):
-        assert index_table(Q3) == [(0, 1, 1), (1, None, 3)]
-        assert index_table(P321) == [(0, 1, 1), (1, 2, 3), (2, None, 9)]
+        assert index_table(upper_filtration(Q3)) == [(0, 1, 1), (1, None, 3)]
+        assert index_table(upper_filtration(P321)) == [(0, 1, 1), (1, 2, 3), (2, None, 9)]
+        assert index_table(upper_filtration(P321Z)) == [(0, 1, 1), (1, 2, 3), (2, 3, 9), (3, None, 27)]
+        assert index_table(upper_filtration(CHAR3, 4)) == [(0, 1, 1), (1, 2, 3), (2, 4, 9), (4, None, 27)]
 
     def test_last_column(self):
         params = FieldParams(p=5, f=2, e=3, zeta_in_field=False)
-        table = index_table(params)
+        table = index_table(upper_filtration(params))
         assert table[-1] == (b_upper(3, 5), None, 25**3)
 
-    def test_rejects_non_regular(self):
-        with pytest.raises(ValueError, match="regular"):
-            index_table(P321Z)
+    def test_rows_are_psi_segments_in_every_regime(self):
+        for params, m in ALL_REGIMES:
+            up = upper_filtration(params, m)
+            psi = herbrand_psi(up)
+            xs = [x for x, _ in psi.breakpoints] + [None]
+            assert index_table(up) == list(zip(xs, xs[1:], psi.slopes))
+
+    def test_rejects_lower_numbering(self):
+        with pytest.raises(ValueError, match="upper-numbering"):
+            index_table(lower_filtration(P321))
+
+
+def _different_closed(params):
+    """The different exponent of a regular field in closed form,
+    (1 + b_upper(e)) q^e - (1 + b_lower(e)), kept here as a reference."""
+    e, p, q = params.e, params.p, params.q
+    return (1 + b_upper(e, p)) * q**e - (1 + b_lower(e, p, q))
 
 
 class TestDifferent:
@@ -311,29 +347,48 @@ class TestDifferent:
             different_exponent_oracle(upper_filtration(CHAR3, 5))
 
     def test_closed_form_known_values(self):
-        assert different_exponent_closed(Q3) == 4
-        assert different_exponent_closed(P321) == 22
-        assert different_exponent_closed(FieldParams(p=5, f=1, e=1, zeta_in_field=False)) == 8
+        for params, different in (
+            (Q3, 4),
+            (P321, 22),
+            (FieldParams(p=5, f=1, e=1, zeta_in_field=False), 8),
+        ):
+            assert _different_closed(params) == different
+            assert different_exponent_oracle(lower_filtration(params)) == different
+            assert discriminant_exponent(upper_filtration(params)) == params.p * different
 
     def test_closed_form_matches_oracle_on_grid(self):
+        # On regular fields the sum is also p times the different's closed form.
         for p in (3, 5, 7):
             for e in range(1, 201):
                 for f in range(1, 4):
                     params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                    assert different_exponent_closed(params) == different_exponent_oracle(
-                        lower_filtration(params)
-                    )
+                    closed = _different_closed(params)
+                    disc = discriminant_exponent(upper_filtration(params))
+                    assert disc == p * closed == p * different_exponent_oracle(lower_filtration(params))
+        for params, m in ALL_REGIMES:
+            disc = discriminant_exponent(upper_filtration(params, m))
+            assert disc == params.p * different_exponent_oracle(lower_filtration(params, m))
 
     def test_discriminant_known_values(self):
-        assert discriminant_exponent(Q3) == 12
-        assert discriminant_exponent(P321) == 66
-        assert discriminant_exponent(FieldParams(p=5, f=1, e=1, zeta_in_field=False)) == 40
+        # The different exponent is the discriminant's over the residue degree p.
+        # Q_2 has the quadratic discriminant exponents 0, 2, 2, 3, 3, 3, 3.
+        for params, m, disc, different in (
+            (Q3, None, 12, 4),
+            (P321, None, 66, 22),
+            (FieldParams(p=5, f=1, e=1, zeta_in_field=False), None, 40, 8),
+            (Q2, None, 16, 8),
+            (P321Z, None, 282, 94),
+            (CHAR3, 5, 1308, 436),
+        ):
+            assert discriminant_exponent(upper_filtration(params, m)) == disc
+            assert disc == params.p * different
+            assert different_exponent_oracle(lower_filtration(params, m)) == different
 
-    def test_regular_only(self):
-        with pytest.raises(ValueError):
-            different_exponent_closed(P321Z)
-        with pytest.raises(ValueError):
-            discriminant_exponent(CHAR3)
+    def test_rejects_lower_numbering(self):
+        with pytest.raises(ValueError, match="upper-numbering"):
+            discriminant_exponent(lower_filtration(P321Z))
+        with pytest.raises(ValueError, match="upper-numbering"):
+            discriminant_exponent(lower_filtration(CHAR3, 5))
 
 
 class TestCyclicDiscriminant:
@@ -436,21 +491,22 @@ class TestOrthogonality:
         assert orthogonal_index(Fraction(5), P321) == -1
         with pytest.raises(ValueError):
             orthogonal_index(Fraction(-2), P321)
-        with pytest.raises(ValueError, match="regular case only"):
-            orthogonal_index(Fraction(1), P321Z)
+        # The other regimes: the unramified line sits at top = 3 with zeta
+        # in F, and at 0 in characteristic p, at every level.
+        assert orthogonal_index(Fraction(1), P321Z) == 3
+        assert orthogonal_index(Fraction(4), P321Z) == 0
+        assert orthogonal_index(Fraction(1, 2), CHAR3) == 0
+        assert orthogonal_index(Fraction(9), CHAR3) == -8
 
     def test_complementarity_at_every_quarter_step(self):
         # The index is total on u > -1: the annihilator's dimension always
         # complements the subgroup's, below, inside and past the break range.
-        for p in (3, 5, 7):
-            for e in range(1, 7):
-                for f in range(1, 4):
-                    params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
-                    up, space = upper_filtration(params), space_model(params)
-                    for k in range(-3, 4 * (b_upper(e, p) + 3) + 1):
-                        u = Fraction(k, 4)
-                        idx = orthogonal_index(u, params)
-                        assert up.dim_at(u) + space.dim_at(idx) == 1 + e * f
+        for params, m in ALL_REGIMES:
+            up, space = upper_filtration(params, m), space_model(params, m)
+            for k in range(-3, 4 * (up.locations[-1] + 3) + 1):
+                u = Fraction(k, 4)
+                idx = orthogonal_index(u, params)
+                assert up.dim_at(u) + space.dim_at(idx) == up.total_dim
 
 
 def test_filtered_space_validation():

@@ -26,6 +26,7 @@ REMOVED = {
     "WP_CHAR_P",
     "BELOW_BREAK_RANGE",
     "ABOVE_BREAK_RANGE",
+    "different_exponent_closed",
 }
 
 
