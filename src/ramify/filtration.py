@@ -78,12 +78,12 @@ class FieldParams:
 
     def __post_init__(self) -> None:
         _check_prime(self.p)
-        if self.f < 1:
+        if type(self.f) is not int or self.f < 1:
             raise ValueError("f must be a positive integer")
-        if self.characteristic not in (0, self.p):
+        if type(self.characteristic) is not int or self.characteristic not in (0, self.p):
             raise ValueError("characteristic must be 0 or p")
         if self.characteristic == 0:
-            if self.e is None or self.e < 1:
+            if type(self.e) is not int or self.e < 1:
                 raise ValueError("e must be a positive integer in characteristic 0")
             if self.zeta_in_field is None:
                 if self.p == 2:

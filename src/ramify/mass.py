@@ -14,7 +14,7 @@ rational arithmetic, for the three parameter regimes of module filtration:
 
 cyclic_mass is the one closed form over all three regimes. It is paired with
 brute_force_mass, an independent oracle that walks the lines of
-filtration.space_model by their supports and adds q^{-c} per line.
+filtration.space_model by their nonzero jump blocks and adds q^{-c} per line.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Optional
 
 from .breaks import _check_prime, _check_q, prime_to_p_breaks
 from .filtration import FieldParams, break_of_line, cyclic_discriminant, space_model
-from .fpspace import LINE_ENUMERATION_BOUND
 from .rationals import geometric_sum_finite
 
 __all__ = [
@@ -39,6 +38,9 @@ __all__ = [
     "average_c_closed_form",
     "brute_force_mass",
 ]
+
+# Most jumps brute_force_mass walks: 2^20 sets of jump blocks take about a second.
+_WALK_JUMP_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -170,14 +172,14 @@ def average_c_closed_form(p: int) -> Fraction:
 def brute_force_mass(params: FieldParams, level: Optional[int] = None) -> Fraction:
     """Oracle: enumerate the lines of the filtered-space model and sum q^{-c}.
 
-    A line's depth depends only on which coordinates of its canonical
-    representative (first nonzero coordinate 1) are nonzero. So the oracle
-    walks, for each lead coordinate, every 0/1 support mask of the tail,
-    which stands for (p-1)^popcount lines of the same depth: 2^dim steps
-    instead of p^dim. It reads off each support's depth, converts it to a
-    break via break_of_line, and adds q^{-c} per ramified line, where
-    c = cyclic_discriminant(p, break) - (p-1).
-    Exercises the line-counting combinatorics rather than assuming it.
+    A line's depth depends only on which jump blocks of its vectors are
+    nonzero, and a block of codim c is zero or one of p^c - 1 nonzero
+    patterns. So the oracle walks, for each lead block (deepest first),
+    every set of the shallower blocks: with its lead, a set stands for
+    prod (p^c - 1) / (p - 1) lines, whose depth is the shallowest index in
+    it. That is 2^J - 1 steps for J jumps, refused past _WALK_JUMP_BOUND.
+    Each depth becomes a break via break_of_line, and each ramified line
+    adds q^{-c}, c = cyclic_discriminant(p, break) - (p-1). No closed count.
 
     The space is space_model(params, level), so in characteristic 0 the
     result is the complete cyclic mass, and in characteristic p, where the
@@ -185,30 +187,25 @@ def brute_force_mass(params: FieldParams, level: Optional[int] = None) -> Fracti
     <= m.
     """
     space = space_model(params, level)
-    p, q = params.p, params.q
-    dim = space.total_dim
-    if p**dim > LINE_ENUMERATION_BOUND:
+    if len(space.jumps) > _WALK_JUMP_BOUND:
         raise ValueError("enumeration too large")
-    # Coordinate t carries the filtration index of the jump it belongs to,
-    # deepest first; a line's depth is the shallowest index among its
-    # nonzero coordinates.
-    coord_index: list[int] = []
-    for idx, codim in reversed(space.jumps):
-        coord_index.extend([idx] * codim)
+    p, q = params.p, params.q
     contribution_at = dict.fromkeys(space.locations, Fraction(0))
     for idx in space.locations:
         brk = break_of_line(space, idx, params)
         if brk != -1:  # the unramified line carries no mass
             contribution_at[idx] = Fraction(1, q ** (cyclic_discriminant(p, brk) - (p - 1)))
     lines_at = dict.fromkeys(space.locations, 0)
-    weight = [(p - 1) ** k for k in range(dim)]
-    for lead in range(dim):
-        lead_idx = coord_index[lead]
-        tail_indices = coord_index[lead + 1 :]
-        for support in product((0, 1), repeat=dim - lead - 1):
-            depth_idx = lead_idx
-            for c, idx in zip(support, tail_indices):
-                if c and idx < depth_idx:
-                    depth_idx = idx
-            lines_at[depth_idx] += weight[sum(support)]
+    # (index, nonzero patterns) per block, deepest first.
+    blocks = [(idx, p**codim - 1) for idx, codim in reversed(space.jumps)]
+    for lead, (lead_idx, lead_patterns) in enumerate(blocks):
+        tail = blocks[lead + 1 :]
+        for support in product((0, 1), repeat=len(tail)):
+            depth_idx, lines = lead_idx, lead_patterns // (p - 1)
+            for chosen, (idx, patterns) in zip(support, tail):
+                if chosen:
+                    lines *= patterns
+                    if idx < depth_idx:
+                        depth_idx = idx
+            lines_at[depth_idx] += lines
     return sum((n * contribution_at[idx] for idx, n in lines_at.items()), Fraction(0))

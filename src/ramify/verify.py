@@ -67,12 +67,6 @@ def _char_p_levels():
             yield FieldParams(p=p, f=f, characteristic=p), m
 
 
-def _enumerable(params: FieldParams, level=None) -> bool:
-    """Whether brute_force_mass accepts the space model of these fields."""
-    dim = space_model(params, level).total_dim
-    return params.p**dim <= fpspace.LINE_ENUMERATION_BOUND
-
-
 def _characters():
     """(p, m, w): p in {3, 5, 7, 13}, every m | p - 1, every w of order m mod p."""
     for p in (3, 5, 7, 13):
@@ -270,15 +264,12 @@ def check_orthogonality() -> None:
 def check_mass_brute_vs_closed() -> None:
     """Enumerated mass equals the closed forms on the full small grid."""
     for params in _mass_char0_grid():
-        if _enumerable(params):
-            assert mass.brute_force_mass(params) == mass.cyclic_mass(params).total
+        assert mass.brute_force_mass(params) == mass.cyclic_mass(params).total
 
 
 def check_mass_char_p_partial() -> None:
     """Char-p enumeration reproduces partial sums; the tail is controlled."""
     for params, m in _char_p_levels():
-        if not _enumerable(params, m):
-            continue
         p, q = params.p, params.q
         count = breaks.c_truncation(m, p)
         partial = mass.brute_force_mass(params, m)

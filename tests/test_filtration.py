@@ -83,6 +83,13 @@ class TestFieldParams:
             FieldParams(p=3, f=1, characteristic=5)
         with pytest.raises(ValueError):
             FieldParams(p=3, f=1, characteristic=3, e=2)
+        # Only int fields: a float f would make q irrational and codims fractional.
+        for f, e in ((1.5, 2), (2.0, 2), (True, 2), (1, 2.0), (1, True)):
+            with pytest.raises(ValueError, match="must be a positive integer"):
+                FieldParams(p=3, f=f, e=e, zeta_in_field=False)
+        for characteristic in (0.0, False, 3.0):
+            with pytest.raises(ValueError, match="characteristic must be 0 or p"):
+                FieldParams(p=3, f=1, e=2, characteristic=characteristic, zeta_in_field=False)
         with pytest.raises(ValueError, match="e1 is undefined"):
             CHAR3.e1
         with pytest.raises(ValueError, match="regular case only"):

@@ -1,8 +1,10 @@
+import ast
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from ramify import mass
 from ramify.breaks import b_upper, c_truncation
 from ramify.filtration import (
     FieldParams,
@@ -245,13 +247,51 @@ class TestBruteForce:
                 model(Q3, level=3)
 
     def test_enumeration_guard(self):
-        big = FieldParams(p=7, f=2, e=6, zeta_in_field=False)
+        # Both models have 21 jumps, one past the walk's bound; each is
+        # refused before the walk starts.
         with pytest.raises(ValueError, match="enumeration too large"):
-            brute_force_mass(big)
+            brute_force_mass(FieldParams(p=3, f=1, e=20, zeta_in_field=False))
+        with pytest.raises(ValueError, match="enumeration too large"):
+            brute_force_mass(FieldParams(p=2, f=1, characteristic=2), 40)
+        # 7 jumps but dimension 13: within the bound, though 7^13 > 10^7.
+        big = FieldParams(p=7, f=2, e=6, zeta_in_field=False)
+        assert brute_force_mass(big) == cyclic_mass(big).total
+
+    def test_block_walk_equals_closed_forms(self):
+        """The block walk reproduces the characteristic-0 totals for
+        p <= 7, f <= 3, e <= 12, and the characteristic-p partial sums at
+        every level whose model has at most 14 jumps."""
+        fields = [
+            FieldParams(p=p, f=f, e=e, zeta_in_field=zeta)
+            for p in (2, 3, 5, 7)
+            for f in (1, 2, 3)
+            for e in range(1, 13)
+            for zeta in (False, True)
+            if (p != 2 or zeta) and (not zeta or e % (p - 1) == 0)
+        ]
+        assert len(fields) == 177
+        for params in fields:
+            assert brute_force_mass(params) == cyclic_mass(params).total
+        levels = 0
+        for p in (2, 3, 5, 7):
+            for f in (1, 2, 3):
+                params = FieldParams(p=p, f=f, characteristic=p)
+                q = params.q
+                m = 1
+                while c_truncation(m, p) < 14:
+                    expected = Fraction(p * (q - 1), q * (p - 1)) * sum(
+                        Fraction(q**i, q ** ((p - 1) * b_upper(i, p)))
+                        for i in range(1, c_truncation(m, p) + 1)
+                    )
+                    assert brute_force_mass(params, m) == expected
+                    levels += 1
+                    m += 1
+        assert levels == 228
 
     def test_support_walk_equals_per_vector_walk(self):
         """On every case of the two mass checks of ramify.verify with
-        p^dim <= 10^5, walking supports gives the per-vector sum."""
+        p^dim <= 10^5, walking the supports of jump blocks gives the
+        per-vector sum."""
         cases = [(params, None) for params in _mass_char0_grid()] + list(_char_p_levels())
         compared = 0
         for params, level in cases:
@@ -285,3 +325,18 @@ def _per_vector_mass(params, level=None):
                     depth_idx = idx
             total += contribution_at[depth_idx]
     return total
+
+
+def test_mass_imports_nothing_from_fpspace():
+    """mass reads no fpspace name. A sys.modules check cannot see this,
+    because importing the package loads fpspace anyway."""
+    with open(mass.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported if "fpspace" in name.split(".")]
