@@ -20,8 +20,8 @@ from ramify import (
 )
 
 
-def show(params, label, **kwargs):
-    report = cyclic_mass(params, **kwargs)
+def show(params, label, level=None):
+    report = cyclic_mass(params, level)
     print(f"{label}")
     for i, b, count, contribution in report.per_break[:6]:
         print(f"  break {b}: {count} extensions contribute {contribution}")
@@ -49,11 +49,12 @@ assert total == brute_force_mass(q3z) == Fraction(13, 27)
 q2 = FieldParams(p=2, f=1, e=1, zeta_in_field=True)
 assert show(q2, "\nQ_2") == 2
 f2 = FieldParams(p=2, f=1, characteristic=2)
-assert cyclic_mass(f2).total == 2
+assert cyclic_mass(f2, level=1).total == 2
 
 # Characteristic 3: infinitely many breaks, geometric decay, exact total.
+# The level-8 quotient lists the six breaks up to 8.
 c3 = FieldParams(p=3, f=1, characteristic=3)
-show(c3, "\nF_3((t))", display_rows=6)
+show(c3, "\nF_3((t))", level=8)
 
 # Over the p-th cyclotomic field of the p-adics, the average conductor-like
 # exponent c(L) has a clean closed form.

@@ -11,6 +11,7 @@ piecewise-linear map that reproduces it).
 
 from __future__ import annotations
 
+import functools
 import math
 
 __all__ = [
@@ -23,9 +24,10 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True miss the entry of 3
 def _check_prime(p: int) -> None:
     """The package's one primality test: trial division by 2, then by odd d <= isqrt(p)."""
-    if p < 2 or (p % 2 == 0 and p != 2):
+    if type(p) is not int or p < 2 or (p % 2 == 0 and p != 2):
         raise ValueError("p must be a prime")
     for d in range(3, math.isqrt(p) + 1, 2):
         if p % d == 0:

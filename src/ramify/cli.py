@@ -20,7 +20,7 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from .breaks import b_upper, break_sequence
 from .filtration import (
@@ -236,15 +236,20 @@ def _parse_params(args: argparse.Namespace) -> FieldParams:
     return params
 
 
+def _shown_level(params: FieldParams, n: int) -> Optional[int]:
+    """Level of the first n upper breaks: b_upper(n) in characteristic p (an
+    n <= 0 is passed on for the level check to reject), None in characteristic 0."""
+    if params.characteristic == 0:
+        return None
+    return b_upper(n, params.p) if n > 0 else n
+
+
 def _cmd_report(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
     char_p = params.characteristic != 0
-    # In characteristic p, --max-index n shows the upper breaks of the level
-    # b_upper(n) (an n <= 0 is passed on for the level check to reject). The
-    # lower breaks need the quotient that --m picks; the space model is at
-    # that level, or else at the shown one.
-    n = args.max_index
-    shown = (b_upper(n, params.p) if n > 0 else n) if char_p else None
+    # The lower breaks need the quotient that --m picks; the space model is at
+    # that level, or else at the level shown by --max-index.
+    shown = _shown_level(params, args.max_index)
     upper = upper_filtration(params, shown)
     lower = None if char_p and args.m is None else lower_filtration(params, args.m)
     space = space_model(params, args.m if args.m is not None else shown)
@@ -252,7 +257,7 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
     table = index_table(upper) if params.regular else None
     discriminant = discriminant_exponent(upper) if params.regular else None
     different = None if discriminant is None else discriminant // params.p  # residue degree p
-    report = cyclic_mass(params, display_rows=n)
+    report = cyclic_mass(params, shown)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -357,7 +362,7 @@ def _cmd_herbrand(args: argparse.Namespace) -> list[str]:
 
 def _cmd_mass(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
-    report = cyclic_mass(params, display_rows=args.max_index)
+    report = cyclic_mass(params, _shown_level(params, args.max_index))
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,

@@ -78,6 +78,8 @@ class FieldParams:
 
     def __post_init__(self) -> None:
         _check_prime(self.p)
+        if self.zeta_in_field is not None and type(self.zeta_in_field) is not bool:
+            raise ValueError("zeta_in_field must be True, False or None")
         if type(self.f) is not int or self.f < 1:
             raise ValueError("f must be a positive integer")
         if type(self.characteristic) is not int or self.characteristic not in (0, self.p):

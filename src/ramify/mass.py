@@ -4,17 +4,17 @@ Serre's mass formula assigns total mass p to the separable degree-p
 extensions of F inside a fixed separable closure, each totally ramified L
 weighing q^{-c(L)} with c(L) = v(d_{L|F}) - (p-1). This module computes the
 part of that sum contributed by the cyclic (Galois) extensions, in exact
-rational arithmetic, for the three parameter regimes of module filtration:
+rational arithmetic. By the conductor-discriminant formula it is a sum over
+the jumps of the upper filtration of module filtration, in all three regimes:
 
-* characteristic 0, zeta not in F: sum over breaks b_upper(i), i in [1, e];
-* characteristic 0, zeta in F: the same sum plus the deepest-break
-  ("tres ramifiee") term p / q^{(p-1)e};
+* characteristic 0: every jump, with the deepest-break ("tres ramifiee")
+  one p*e/(p-1) when zeta is in F;
 * characteristic p: an infinite sum over all break indices with closed form
-  series_value.
+  series_value; the level-m quotient lists its first terms.
 
-cyclic_mass is the one closed form over all three regimes. It is paired with
-brute_force_mass, an independent oracle that walks the lines of
-filtration.space_model by their nonzero jump blocks and adds q^{-c} per line.
+cyclic_mass is that closed form. It is paired with brute_force_mass, an
+independent oracle that walks the lines of filtration.space_model by their
+nonzero jump blocks and adds q^{-c} per line.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .breaks import _check_prime, _check_q, prime_to_p_breaks
-from .filtration import FieldParams, break_of_line, cyclic_discriminant, space_model
+from .breaks import _check_prime, _check_q
+from .filtration import FieldParams, break_of_line, cyclic_discriminant, space_model, upper_filtration
 from .rationals import geometric_sum_finite
 
 __all__ = [
@@ -50,10 +50,10 @@ class MassReport:
     per_break rows are (i, b_upper(i), count, contribution) where count is
     the number of cyclic extensions with that break and contribution is
     count * q^{-c}. tres_ramifiee is (count, contribution) or None. For
-    characteristic p the rows stop at a display bound while total is the
-    exact value of the infinite sum, so total >= sum of listed rows there;
-    in characteristic 0 the total is exactly the row sum (plus the tres
-    term when present).
+    characteristic p the rows stop at the level of the quotient while total
+    is the exact value of the infinite sum, so total > sum of listed rows
+    there; in characteristic 0 the total is exactly the row sum (plus the
+    tres term when present).
     """
 
     params: FieldParams
@@ -101,44 +101,43 @@ def series_value(p: int, q: int) -> Fraction:
     return block / (1 - Fraction(1, q ** ((p - 1) ** 2)))
 
 
-def cyclic_mass(params: FieldParams, display_rows: int = 16) -> MassReport:
+def cyclic_mass(params: FieldParams, level: Optional[int] = None) -> MassReport:
     """Mass of the cyclic degree-p extensions, in any of the three regimes.
 
-    Rows cover the breaks b_upper(1..e) in characteristic 0 and the first
-    display_rows breaks in characteristic p, where the per-break table is
-    infinite. When zeta is in F (characteristic 0) the p*q^e deepest-break
-    extensions add p / q^{(p-1)e}. The characteristic-0 total is the sum of
-    the rows (and that term); the characteristic-p total is the exact value
-    (p/q) * ((q-1)/(p-1)) * series_value(p, q) of the whole series.
+    Rows are the ramified jumps of upper_filtration(params, level), which in
+    characteristic p needs the level m and holds the breaks <= m. A jump
+    (b, codim) above p^lo characters holds p^lo (p^codim - 1)/(p - 1) lines,
+    each weighing q^{-c}, c = cyclic_discriminant(p, b) - (p-1); with zeta
+    in F (characteristic 0) the last jump is the tres ramifiee term. The
+    characteristic-0 total sums every jump; the characteristic-p total is
+    the whole series, (p/q) * ((q-1)/(p-1)) * series_value(p, q).
     """
-    p, q = params.p, params.q
-    char_p = params.characteristic != 0
-    if char_p and display_rows < 1:
-        raise ValueError("need at least one display row")
-    # Row i is count_i / q^{(p-1)b_i} = unit / q^{k_i}, where count_i =
-    # unit * q^{i-1} and k_i = (p-1)b_i - i + 1; cancelling q^{i-1} saves a
-    # big gcd per row. The count, the denominator q^{k_i} and the Horner sum
-    # acc = sum_{j<=i} q^{k_i - k_j} each grow by one small power per row, so
-    # the characteristic-0 total is unit * acc / q^{k_e}.
-    unit = p * (q - 1) // (p - 1)
+    upper = upper_filtration(params, level)
+    p, f, q = params.p, params.f, params.q
+    # Divided by p^lo, a row is n / p^k with n = (p^codim - 1)/(p - 1) prime
+    # to p and k = f*c - lo, so no row needs a big gcd. p^lo, the denominator
+    # p^k and the Horner sum acc = sum_j n_j p^{k - k_j} each grow by one
+    # small power per jump, so the sum over all jumps is acc / p^k.
+    (_, lo), *ramified = upper.jumps  # the unramified jump carries no mass
+    below, den, acc, k = p**lo, 1, 0, 0
     rows = []
-    count, den, acc, k = unit, 1, 0, 0
-    for i, b in enumerate(prime_to_p_breaks(p, display_rows if char_p else params.e), start=1):
-        k_next = (p - 1) * b - i + 1
-        step = q ** (k_next - k)
+    for i, (b, codim) in enumerate(ramified, start=1):
+        n = (p**codim - 1) // (p - 1)
+        k_next = f * (cyclic_discriminant(p, b) - (p - 1)) - lo
+        step = p ** (k_next - k)
         den *= step
-        acc = acc * step + 1
+        acc = acc * step + n
         k = k_next
-        rows.append((i, b, count, Fraction(unit, den)))
-        count *= q
+        rows.append((i, b, below * n, Fraction(n, den)))
+        below *= p**codim
+        lo += codim
     tres = None
-    if char_p:
+    if params.characteristic != 0:
         total = Fraction(p, q) * Fraction(q - 1, p - 1) * series_value(p, q)
     else:
-        total = Fraction(unit * acc, den)
+        total = Fraction(acc, den)
         if params.zeta_in_field:
-            tres = (tres_ramifiee_count(params), Fraction(p, q ** ((p - 1) * params.e)))
-            total += tres[1]
+            tres = rows.pop()[2:]
     return MassReport(params=params, per_break=tuple(rows), tres_ramifiee=tres, total=total)
 
 

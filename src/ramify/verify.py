@@ -282,7 +282,7 @@ def check_mass_char_p_partial() -> None:
             )
         )
         assert partial == expected
-        tail = mass.cyclic_mass(params).total - partial
+        tail = mass.cyclic_mass(params, m).total - partial
         first_omitted = count + 1
         bound = Fraction(p, p - 1) * Fraction(
             q ** first_omitted,
@@ -302,7 +302,7 @@ def check_mass_bounds() -> None:
             seen_p2_equality = True
     for p in (2, 3, 5):
         for f in (1, 2):
-            total = mass.cyclic_mass(FieldParams(p=p, f=f, characteristic=p)).total
+            total = mass.cyclic_mass(FieldParams(p=p, f=f, characteristic=p), 1).total
             assert 0 < total <= p
             if total == p:
                 assert p == 2

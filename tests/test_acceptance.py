@@ -55,7 +55,7 @@ def test_criterion_01_p2_totality():
     assert cyclic_mass(q2).total == 2
     for f in (1, 2, 3):  # q in {2, 4, 8}
         params = FieldParams(p=2, f=f, characteristic=2)
-        assert cyclic_mass(params).total == 2
+        assert cyclic_mass(params, b_upper(16, 2)).total == 2
     elapsed = time.perf_counter() - start
     assert elapsed < 0.010, f"took {elapsed:.4f}s, budget 10ms"
 
@@ -75,7 +75,7 @@ def test_criterion_02_char2_series_display():
             assert term > 0  # so partial sums strictly increase
             partial += term
         assert abs(2 - partial) < TOL
-        assert cyclic_mass(FieldParams(p=2, f=f, characteristic=2)).total == 2
+        assert cyclic_mass(FieldParams(p=2, f=f, characteristic=2), b_upper(16, 2)).total == 2
 
 
 def _valid_zeta_flags(p, e):

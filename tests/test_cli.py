@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import ramify.verify
+from ramify.breaks import b_upper
 from ramify.cli import _build_parser, _digit_column, _json, run
 from ramify.filtration import FieldParams
 from ramify.mass import cyclic_mass
@@ -86,6 +87,11 @@ GOLDEN_CASES = [
         ["report", "--p", "2", "--f", "2", "--char", "p", "--max-index", "3", "--m", "9",
          "--format", "json"],
         "report_p2_f2_charp_m9.json",
+    ),
+    # The mass rows of the level of the first 5 breaks, b_upper(5) = 7.
+    (
+        ["mass", "--p", "3", "--f", "1", "--char", "p", "--max-index", "5", "--format", "json"],
+        "mass_p3_f1_charp_n5.json",
     ),
 ]
 
@@ -167,11 +173,12 @@ def test_text_mass_rows_equal_str_of_the_rows(sub, flags, params):
     code, out, err = _run([sub, "--p", "5", "--f", "2", *flags])
     assert code == 0 and err == ""
     rows = [line for line in out.splitlines() if line.startswith("  break ")]
-    display_rows = int(flags[-1]) if params.characteristic else 16
+    # --max-index n shows the rows of the level of the first n breaks.
+    level = b_upper(int(flags[-1]), 5) if params.characteristic else None
     expected = [
         f"  break {b} (i = {i}): {str(count)} extensions, "
         f"contribution {str(c.numerator)}/{str(c.denominator)}"
-        for i, b, count, c in cyclic_mass(params, display_rows=display_rows).per_break
+        for i, b, count, c in cyclic_mass(params, level).per_break
     ]
     assert rows == expected
 
@@ -358,7 +365,7 @@ def test_herbrand_char_p_needs_m():
         (["breaks", "--p", "3", "--f", "0", "--e", "2"], "f must be a positive integer"),
         (["breaks", "--p", "3", "--f", "-2", "--e", "2"], "f must be a positive integer"),
         (["breaks", "--p", "3", "--e", "0"], "need at least one break index"),
-        (["mass", "--p", "3", "--char", "p", "--max-index", "0"], "display row"),
+        (["mass", "--p", "3", "--char", "p", "--max-index", "0"], "positive truncation index"),
     ],
 )
 def test_validation_errors_exit_1_with_diagnostic(argv, needle):

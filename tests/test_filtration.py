@@ -90,6 +90,15 @@ class TestFieldParams:
         for characteristic in (0.0, False, 3.0):
             with pytest.raises(ValueError, match="characteristic must be 0 or p"):
                 FieldParams(p=3, f=1, e=2, characteristic=characteristic, zeta_in_field=False)
+        # The prime check is memoized per type: after p = 3 passed, an equal
+        # float or bool is still refused.
+        FieldParams(p=3, f=1, e=2, zeta_in_field=False)
+        for p in (3.0, True, 2.0):
+            with pytest.raises(ValueError, match="p must be a prime"):
+                FieldParams(p=p, f=1, e=2, zeta_in_field=True)
+        for zeta in (1, 0, "in"):
+            with pytest.raises(ValueError, match="zeta_in_field must be True, False or None"):
+                FieldParams(p=3, f=1, e=2, zeta_in_field=zeta)
         with pytest.raises(ValueError, match="e1 is undefined"):
             CHAR3.e1
         with pytest.raises(ValueError, match="regular case only"):

@@ -113,9 +113,11 @@ class TestSeriesValue:
 
 class TestClosedFormMasses:
     def test_char_p_totals(self):
-        assert cyclic_mass(FieldParams(p=2, f=1, characteristic=2)).total == 2
-        assert cyclic_mass(FieldParams(p=2, f=3, characteristic=2)).total == 2
-        assert cyclic_mass(CHAR3).total == Fraction(9, 20)
+        # The total is the whole series, whatever level lists the rows.
+        assert cyclic_mass(FieldParams(p=2, f=1, characteristic=2), b_upper(16, 2)).total == 2
+        assert cyclic_mass(FieldParams(p=2, f=3, characteristic=2), b_upper(16, 2)).total == 2
+        assert cyclic_mass(CHAR3, b_upper(16, 3)).total == Fraction(9, 20)
+        assert cyclic_mass(CHAR3, 1).total == Fraction(9, 20)
 
     def test_zeta_totals(self):
         assert cyclic_mass(Q2).total == 2
@@ -127,16 +129,16 @@ class TestClosedFormMasses:
 
     def test_dispatcher_routes_each_case(self):
         """Each regime gets its own rows, deepest-break term and total."""
-        regular = cyclic_mass(FieldParams(p=3, f=1, e=2, zeta_in_field=False), display_rows=5)
+        regular = cyclic_mass(FieldParams(p=3, f=1, e=2, zeta_in_field=False))
         assert len(regular.per_break) == 2 and regular.tres_ramifiee is None
-        zeta = cyclic_mass(P321Z, display_rows=5)
+        zeta = cyclic_mass(P321Z)
         assert len(zeta.per_break) == 2
         assert zeta.tres_ramifiee == (tres_ramifiee_count(P321Z), Fraction(3, 3 ** (2 * 2)))
-        char_p = cyclic_mass(CHAR3, display_rows=5)
+        char_p = cyclic_mass(CHAR3, b_upper(5, 3))
         assert len(char_p.per_break) == 5 and char_p.tres_ramifiee is None
         assert char_p.total == Fraction(3, 3) * Fraction(2, 2) * series_value(3, 3)
-        with pytest.raises(ValueError, match="display row"):
-            cyclic_mass(CHAR3, display_rows=0)
+        with pytest.raises(ValueError, match="needs a positive truncation index"):
+            cyclic_mass(CHAR3, 0)
 
     def test_report_bookkeeping(self):
         rep = cyclic_mass(P321Z)
@@ -149,14 +151,14 @@ class TestClosedFormMasses:
     def test_per_break_row_identity(self):
         """Row value = count * q^{-(p-1)b}, and that equals the summand
         (p/q)((q-1)/(p-1)) q^{i-(p-1)b} of the closed form."""
-        for params in (
-            Q3,
-            P321Z,
-            FieldParams(p=5, f=2, e=3, zeta_in_field=False),
-            CHAR3,
+        for params, level in (
+            (Q3, None),
+            (P321Z, None),
+            (FieldParams(p=5, f=2, e=3, zeta_in_field=False), None),
+            (CHAR3, b_upper(16, 3)),
         ):
             p, q = params.p, params.q
-            rep = cyclic_mass(params)
+            rep = cyclic_mass(params, level)
             for i, b, count, contribution in rep.per_break:
                 assert b == b_upper(i, p)
                 assert count == lines_with_break_count(params, i)
@@ -167,15 +169,15 @@ class TestClosedFormMasses:
                     * Fraction(q**i, q ** ((p - 1) * b))
                 )
 
-    def test_char_p_display_rows_vs_exact_total(self):
-        rep = cyclic_mass(CHAR3, display_rows=4)
+    def test_char_p_level_rows_vs_exact_total(self):
+        rep = cyclic_mass(CHAR3, b_upper(4, 3))
         assert len(rep.per_break) == 4
         partial = sum(c for *_, c in rep.per_break)
         assert partial < rep.total == Fraction(9, 20)
 
     def test_totals_bounded_by_degree(self):
         for params in (Q3, Q2, P321Z, CHAR3, FieldParams(p=5, f=2, e=4, zeta_in_field=True)):
-            total = cyclic_mass(params).total
+            total = cyclic_mass(params, b_upper(16, 3) if params is CHAR3 else None).total
             assert 0 < total <= params.p
             assert (total == params.p) == (params.p == 2)
 
@@ -232,14 +234,16 @@ class TestBruteForce:
     def test_char_p_partial_sum(self):
         level = 5
         got = brute_force_mass(CHAR3, level)
-        rows = cyclic_mass(CHAR3, display_rows=c_truncation(level, 3)).per_break
-        assert got == sum(c for *_, c in rows)
-        assert got < cyclic_mass(CHAR3).total
+        report = cyclic_mass(CHAR3, level)
+        assert len(report.per_break) == c_truncation(level, 3)
+        assert got == sum(c for *_, c in report.per_break)
+        assert got < report.total
 
     def test_char_p_needs_level(self):
-        # The four models of a field read the level alike: characteristic p
+        # The five models of a field read the level alike: characteristic p
         # needs a positive one, and characteristic 0 takes none.
-        for model in (upper_filtration, lower_filtration, space_model, brute_force_mass):
+        models = (upper_filtration, lower_filtration, space_model, brute_force_mass, cyclic_mass)
+        for model in models:
             for level in (None, 0, -2):
                 with pytest.raises(ValueError, match="needs a positive truncation index"):
                     model(CHAR3, level)
@@ -260,7 +264,9 @@ class TestBruteForce:
     def test_block_walk_equals_closed_forms(self):
         """The block walk reproduces the characteristic-0 totals for
         p <= 7, f <= 3, e <= 12, and the characteristic-p partial sums at
-        every level whose model has at most 14 jumps."""
+        every level whose model has at most 14 jumps, and so do the rows of
+        cyclic_mass at that level. The characteristic-0 row counts are the
+        closed counts."""
         fields = [
             FieldParams(p=p, f=f, e=e, zeta_in_field=zeta)
             for p in (2, 3, 5, 7)
@@ -271,7 +277,12 @@ class TestBruteForce:
         ]
         assert len(fields) == 177
         for params in fields:
-            assert brute_force_mass(params) == cyclic_mass(params).total
+            report = cyclic_mass(params)
+            assert brute_force_mass(params) == report.total
+            for i, _, count, _ in report.per_break:
+                assert count == lines_with_break_count(params, i)
+            if params.zeta_in_field:
+                assert report.tres_ramifiee[0] == tres_ramifiee_count(params)
         levels = 0
         for p in (2, 3, 5, 7):
             for f in (1, 2, 3):
@@ -284,6 +295,8 @@ class TestBruteForce:
                         for i in range(1, c_truncation(m, p) + 1)
                     )
                     assert brute_force_mass(params, m) == expected
+                    rows = cyclic_mass(params, m).per_break
+                    assert sum(c for *_, c in rows) == expected
                     levels += 1
                     m += 1
         assert levels == 228
@@ -328,8 +341,9 @@ def _per_vector_mass(params, level=None):
 
 
 def test_mass_imports_nothing_from_fpspace():
-    """mass reads no fpspace name. A sys.modules check cannot see this,
-    because importing the package loads fpspace anyway."""
+    """mass reads no fpspace name, and from breaks only the validators, so
+    that breaks reach the mass through the filtration. A sys.modules check
+    cannot see this, because importing the package loads fpspace anyway."""
     with open(mass.__file__, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     imported = []
@@ -340,3 +354,5 @@ def test_mass_imports_nothing_from_fpspace():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert imported and not [name for name in imported if "fpspace" in name.split(".")]
+    from_breaks = {name for name in imported if name.startswith("breaks.")}
+    assert from_breaks == {"breaks._check_prime", "breaks._check_q"}
