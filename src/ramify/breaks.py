@@ -12,7 +12,6 @@ piecewise-linear map that reproduces it).
 from __future__ import annotations
 
 import functools
-import math
 
 __all__ = [
     "a_of",
@@ -24,13 +23,35 @@ __all__ = [
 ]
 
 
+# The first 13 primes. As Miller-Rabin bases they decide primality exactly
+# below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @functools.lru_cache(maxsize=None, typed=True)  # typed: 3.0 and True miss the entry of 3
 def _check_prime(p: int) -> None:
-    """The package's one primality test: trial division by 2, then by odd d <= isqrt(p)."""
-    if type(p) is not int or p < 2 or (p % 2 == 0 and p != 2):
+    """The package's one primality test: Miller-Rabin to the bases _WITNESSES."""
+    if type(p) is not int or p < 2:
         raise ValueError("p must be a prime")
-    for d in range(3, math.isqrt(p) + 1, 2):
-        if p % d == 0:
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be below {_PRIME_BOUND}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        if p % a == 0:
+            if p == a:
+                return
+            raise ValueError("p must be a prime")
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             raise ValueError("p must be a prime")
 
 

@@ -20,7 +20,7 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .breaks import b_upper, break_sequence
 from .filtration import (
@@ -33,8 +33,10 @@ from .filtration import (
     space_model,
     upper_filtration,
 )
-from .mass import MassReport, cyclic_mass
 from .rationals import decimal_string
+
+if TYPE_CHECKING:
+    from .mass import MassReport
 
 __all__ = ["run", "main"]
 
@@ -245,6 +247,8 @@ def _shown_level(params: FieldParams, n: int) -> Optional[int]:
 
 
 def _cmd_report(args: argparse.Namespace) -> list[str]:
+    from .mass import cyclic_mass  # imported here, as verify is, so breaks and herbrand skip it
+
     params = _parse_params(args)
     char_p = params.characteristic != 0
     # The lower breaks need the quotient that --m picks; the space model is at
@@ -361,6 +365,8 @@ def _cmd_herbrand(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_mass(args: argparse.Namespace) -> list[str]:
+    from .mass import cyclic_mass
+
     params = _parse_params(args)
     report = cyclic_mass(params, _shown_level(params, args.max_index))
     if args.format == "json":

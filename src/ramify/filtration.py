@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Union
@@ -58,8 +57,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class _Record:
+    """Base of the package's frozen value types: a field per __slots__ entry.
+
+    An instance is equal to one of the same class with equal fields, hashes
+    and pickles as its field tuple, shows as Name(field=value, ...), and
+    raises AttributeError on any attribute assignment or deletion. A
+    subclass's __init__ takes the fields in order, stores each once through
+    object.__setattr__, and checks them; pickling calls it again on the
+    stored fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class FieldParams(_Record):
     """Arithmetic invariants of the base local field.
 
     p: residue characteristic (prime). f: residual degree over the prime
@@ -70,38 +111,43 @@ class FieldParams:
     characteristic p and for p = 2; otherwise it must be given).
     """
 
-    p: int
-    f: int
-    characteristic: int = 0
-    e: Optional[int] = None
-    zeta_in_field: Optional[bool] = None
+    __slots__ = ("p", "f", "characteristic", "e", "zeta_in_field")
 
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        if self.zeta_in_field is not None and type(self.zeta_in_field) is not bool:
+    def __init__(
+        self,
+        p: int,
+        f: int,
+        characteristic: int = 0,
+        e: Optional[int] = None,
+        zeta_in_field: Optional[bool] = None,
+    ) -> None:
+        _check_prime(p)
+        if zeta_in_field is not None and type(zeta_in_field) is not bool:
             raise ValueError("zeta_in_field must be True, False or None")
-        if type(self.f) is not int or self.f < 1:
+        if zeta_in_field is None and (characteristic != 0 or p == 2):
+            zeta_in_field = True  # forced; a wrong characteristic is refused below
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "characteristic", characteristic)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "zeta_in_field", zeta_in_field)
+        if type(f) is not int or f < 1:
             raise ValueError("f must be a positive integer")
-        if type(self.characteristic) is not int or self.characteristic not in (0, self.p):
+        if type(characteristic) is not int or characteristic not in (0, p):
             raise ValueError("characteristic must be 0 or p")
-        if self.characteristic == 0:
-            if type(self.e) is not int or self.e < 1:
+        if characteristic == 0:
+            if type(e) is not int or e < 1:
                 raise ValueError("e must be a positive integer in characteristic 0")
-            if self.zeta_in_field is None:
-                if self.p == 2:
-                    object.__setattr__(self, "zeta_in_field", True)
-                else:
-                    raise ValueError("zeta_in_field must be given in characteristic 0")
-            if self.p == 2 and not self.zeta_in_field:
+            if zeta_in_field is None:
+                raise ValueError("zeta_in_field must be given in characteristic 0")
+            if p == 2 and not zeta_in_field:
                 raise ValueError("p = 2 forces zeta_in_field")
-            if self.zeta_in_field and self.e % (self.p - 1) != 0:
+            if zeta_in_field and e % (p - 1) != 0:
                 raise ValueError("zeta in field requires (p - 1) | e")
         else:
-            if self.e is not None:
+            if e is not None:
                 raise ValueError("e is undefined in characteristic p")
-            if self.zeta_in_field is None:
-                object.__setattr__(self, "zeta_in_field", True)
-            elif not self.zeta_in_field:
+            if not zeta_in_field:
                 raise ValueError("characteristic p fixes zeta_in_field by convention")
 
     @property
@@ -127,8 +173,7 @@ class FieldParams:
         return self.characteristic == 0 and not self.zeta_in_field
 
 
-@dataclass(frozen=True)
-class FilteredSpace:
+class FilteredSpace(_Record):
     """Jump data of a filtered F_p-space or group.
 
     jumps is ordered by strictly increasing location; (location, codim)
@@ -138,9 +183,13 @@ class FilteredSpace:
     the total_dim property is the sum of all codims.
     """
 
-    jumps: tuple[tuple[int, int], ...]
+    __slots__ = ("jumps",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, jumps: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "jumps", jumps)
+        self._check_jumps()
+
+    def _check_jumps(self) -> None:
         prev = None
         for loc, codim in self.jumps:
             if prev is not None and loc <= prev:
@@ -166,7 +215,6 @@ class FilteredSpace:
         return sum(c for loc, c in self.jumps if loc >= x)
 
 
-@dataclass(frozen=True)
 class RamificationFiltration(FilteredSpace):
     """Filtration of a pro-p group G in upper or lower numbering.
 
@@ -175,13 +223,15 @@ class RamificationFiltration(FilteredSpace):
     p, G is the finite level-m quotient of the infinite group.
     """
 
-    p: int
-    numbering: str
+    __slots__ = ("p", "numbering")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _check_prime(self.p)
-        if self.numbering not in ("upper", "lower"):
+    def __init__(self, jumps: tuple[tuple[int, int], ...], p: int, numbering: str) -> None:
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "numbering", numbering)
+        self._check_jumps()
+        _check_prime(p)
+        if numbering not in ("upper", "lower"):
             raise ValueError("numbering must be 'upper' or 'lower'")
 
 
@@ -255,8 +305,7 @@ def lower_filtration(
     return RamificationFiltration(jumps=tuple(jumps), p=p, numbering="lower")
 
 
-@dataclass(frozen=True)
-class HerbrandMap:
+class HerbrandMap(_Record):
     """Increasing piecewise-linear bijection of [0, oo) with exact data.
 
     breakpoints[0] is (0, 0); slopes[i] applies between breakpoints i and
@@ -270,18 +319,20 @@ class HerbrandMap:
     the herbrand command prints two maps.
     """
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    slopes: tuple[Fraction, ...]
+    __slots__ = ("breakpoints", "slopes")
 
-    def __post_init__(self) -> None:
-        if not self.breakpoints or self.breakpoints[0] != (0, 0):
+    def __init__(
+        self, breakpoints: tuple[tuple[Fraction, Fraction], ...], slopes: tuple[Fraction, ...]
+    ) -> None:
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "slopes", slopes)
+        if not breakpoints or breakpoints[0] != (0, 0):
             raise ValueError("transition maps are anchored at (0, 0)")
-        if len(self.slopes) != len(self.breakpoints):
+        if len(slopes) != len(breakpoints):
             raise ValueError("need one slope per segment plus the final ray")
-        if any(s <= 0 for s in self.slopes):
+        if any(s <= 0 for s in slopes):
             raise ValueError("slopes must be positive")
-        points = self.breakpoints
-        if any(a[0] >= b[0] for a, b in zip(points, points[1:])):
+        if any(a[0] >= b[0] for a, b in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must strictly increase")
 
     def __call__(self, x: Union[int, Fraction]) -> Fraction:

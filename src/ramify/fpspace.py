@@ -9,11 +9,11 @@ asymptotic cleverness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 from .breaks import _check_prime
+from .filtration import _Record
 
 __all__ = [
     "FpMatrix",
@@ -38,19 +38,17 @@ __all__ = [
 LINE_ENUMERATION_BOUND = 10**7
 
 
-@dataclass(frozen=True)
-class FpMatrix:
+class FpMatrix(_Record):
     """Matrix over F_p: a tuple of equally long rows with entries reduced to [0, p)."""
 
-    p: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "entries")
 
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        p = self.p
-        rows = tuple([tuple([x % p for x in r]) for r in self.entries])
+    def __init__(self, p: int, entries: Iterable[Iterable[int]]) -> None:
+        _check_prime(p)
+        rows = tuple([tuple([x % p for x in r]) for r in entries])
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -139,19 +137,18 @@ def mat_inverse(a: FpMatrix) -> FpMatrix:
     return FpMatrix(p, [row[n:] for row in reduced])
 
 
-@dataclass(frozen=True)
-class FpSubspace:
+class FpSubspace(_Record):
     """Subspace of F_p^ambient_dim spanned by `basis`, which is stored as its RREF."""
 
-    p: int
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ("p", "ambient_dim", "basis")
 
-    def __post_init__(self) -> None:
-        vectors = tuple(self.basis)
-        if any(len(v) != self.ambient_dim for v in vectors):
+    def __init__(self, p: int, ambient_dim: int, basis: Iterable[Sequence[int]]) -> None:
+        vectors = tuple(basis)
+        if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("dimension mismatch")
-        object.__setattr__(self, "basis", tuple(map(tuple, rref(self.p, vectors))))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", tuple(map(tuple, rref(p, vectors))))
 
     @property
     def dim(self) -> int:
@@ -214,22 +211,20 @@ def multiplicative_order(a: int, p: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
+class GroupAlgebraElement(_Record):
     """Element sum coeffs[k] tau^k of F_p[C_m], tau a fixed generator of C_m.
 
     The coefficients are reduced to [0, p); there is at least one (m >= 1).
     """
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
 
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        p = self.p
-        coeffs = tuple([c % p for c in self.coeffs])
+    def __init__(self, p: int, coeffs: Iterable[int]) -> None:
+        _check_prime(p)
+        coeffs = tuple([c % p for c in coeffs])
         if not coeffs:
             raise ValueError("need at least one coefficient")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

@@ -19,13 +19,19 @@ nonzero jump blocks and adds q^{-c} per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from .breaks import _check_prime, _check_q
-from .filtration import FieldParams, break_of_line, cyclic_discriminant, space_model, upper_filtration
+from .filtration import (
+    FieldParams,
+    _Record,
+    break_of_line,
+    cyclic_discriminant,
+    space_model,
+    upper_filtration,
+)
 from .rationals import geometric_sum_finite
 
 __all__ = [
@@ -43,8 +49,7 @@ __all__ = [
 _WALK_JUMP_BOUND = 20
 
 
-@dataclass(frozen=True)
-class MassReport:
+class MassReport(_Record):
     """Per-break mass table plus totals.
 
     per_break rows are (i, b_upper(i), count, contribution) where count is
@@ -56,10 +61,19 @@ class MassReport:
     tres term when present).
     """
 
-    params: FieldParams
-    per_break: tuple[tuple[int, int, int, Fraction], ...]
-    tres_ramifiee: Optional[tuple[int, Fraction]]
-    total: Fraction
+    __slots__ = ("params", "per_break", "tres_ramifiee", "total")
+
+    def __init__(
+        self,
+        params: FieldParams,
+        per_break: tuple[tuple[int, int, int, Fraction], ...],
+        tres_ramifiee: Optional[tuple[int, Fraction]],
+        total: Fraction,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "per_break", per_break)
+        object.__setattr__(self, "tres_ramifiee", tres_ramifiee)
+        object.__setattr__(self, "total", total)
 
     @property
     def fraction_of_serre_total(self) -> Fraction:

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramify.breaks import (
+    _check_prime,
     a_of,
     b_lower,
     b_upper,
@@ -37,6 +40,31 @@ def test_prime_check_matches_reference():
             else:
                 with pytest.raises(ValueError, match="p must be a prime"):
                     check()
+
+
+def test_prime_check_decides_large_p_exactly_and_fast():
+    """Miller-Rabin to the first 13 prime bases, below the bound where they are exact."""
+    start = time.perf_counter()
+    for p in (2**31 - 1, 2**61 - 1, 2**61 - 1):  # the second call hits the cache
+        _check_prime(p)
+    assert time.perf_counter() - start < 1
+    composites = (
+        561,  # a Carmichael number
+        3215031751,  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # ... to the bases 2 to 23
+        318665857834031151167461,  # ... to the bases 2 to 37; only 41 refuses it
+        (2**61 - 1) * (2**13 - 1),
+    )
+    for n in composites:
+        with pytest.raises(ValueError, match="^p must be a prime$"):
+            _check_prime(n)
+    # The least strong pseudoprime to all 13 bases is the bound itself.
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="^p must be below 3317044064679887385961981$"):
+            _check_prime(n)
+    for n in (1, 4, 8, 3.0, True, -7):
+        with pytest.raises(ValueError, match="^p must be a prime$"):
+            _check_prime(n)
 
 
 def test_a_of_rejects_zero_index():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -366,6 +367,8 @@ def test_herbrand_char_p_needs_m():
         (["breaks", "--p", "3", "--f", "-2", "--e", "2"], "f must be a positive integer"),
         (["breaks", "--p", "3", "--e", "0"], "need at least one break index"),
         (["mass", "--p", "3", "--char", "p", "--max-index", "0"], "positive truncation index"),
+        (["breaks", "--p", "3215031751", "--e", "1"], "p must be a prime"),
+        (["breaks", "--p", "3317044064679887385961981", "--e", "1"], "p must be below"),
     ],
 )
 def test_validation_errors_exit_1_with_diagnostic(argv, needle):
@@ -373,6 +376,14 @@ def test_validation_errors_exit_1_with_diagnostic(argv, needle):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+def test_breaks_accepts_a_61_bit_prime():
+    # Trial division to the square root of 2^61 - 1 would run for minutes.
+    start = time.perf_counter()
+    code, out, err = _run(["breaks", "--p", str(2**61 - 1), "--e", "1"])
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "") and out.endswith("    1       0          1   1\n")
 
 
 @pytest.mark.parametrize(
@@ -439,14 +450,44 @@ def test_verify_subcommand_reports_failure(monkeypatch):
     assert "deliberately broken" in out
 
 
+_LOADED_BY_COMMAND = """
+import io, json, sys
+import ramify
+seen = {"import ramify": sorted(m for m in sys.modules if m.startswith("ramify."))}
+import ramify.cli
+heavy = ("ramify.fpspace", "ramify.mass", "ramify.verify", "dataclasses")
+seen["import ramify.cli"] = [m for m in heavy if m in sys.modules]
+for argv in (
+    ["breaks", "--p", "3", "--e", "4"],
+    ["herbrand", "--p", "3", "--e", "2", "--zeta", "in", "--format", "json"],
+    ["herbrand", "--p", "3", "--char", "p", "--m", "5"],
+    ["mass", "--p", "3", "--e", "2", "--zeta", "out"],
+):
+    assert ramify.cli.run(argv, out=io.StringIO()) == 0
+    seen[argv[0]] = [m for m in heavy if m in sys.modules]
+print(json.dumps(seen))
+"""
+
+
 def test_cli_import_leaves_the_verify_battery_unloaded():
-    # _cmd_verify imports ramify.verify on demand, so the other commands do
-    # not pay for it; a fresh interpreter shows whether any import pulls it in.
-    code = "import sys, ramify.cli; print('ramify.verify' in sys.modules)"
+    # `import ramify` is lazy, and each command imports what only it runs
+    # (mass, verify) on demand. A fresh interpreter shows what a cold call
+    # loads; the commands run in order, so mass comes last.
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60
+        [sys.executable, "-c", _LOADED_BY_COMMAND],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+        timeout=60,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "import ramify": [],
+        "import ramify.cli": [],
+        "breaks": [],
+        "herbrand": [],
+        "mass": ["ramify.mass"],
+    }
 
 
 @pytest.mark.parametrize("module", ["ramify", "ramify.cli"])

@@ -342,8 +342,9 @@ def _per_vector_mass(params, level=None):
 
 def test_mass_imports_nothing_from_fpspace():
     """mass reads no fpspace name, and from breaks only the validators, so
-    that breaks reach the mass through the filtration. A sys.modules check
-    cannot see this, because importing the package loads fpspace anyway."""
+    that breaks reach the mass through the filtration. test_cli's
+    fresh-interpreter check sees that a mass command leaves fpspace
+    unloaded; this pins the names mass takes, which that check cannot."""
     with open(mass.__file__, encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
     imported = []

@@ -37,6 +37,19 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), "duplicate __all__ entry"
     assert [attr for attr in exported if not hasattr(module, attr)] == []
     assert REMOVED.isdisjoint(vars(module))
+    assert REMOVED.isdisjoint(dir(module))
+
+
+def test_lazy_names_are_the_public_names():
+    # The package binds a public name only on first access, so vars(ramify)
+    # alone would not see a stale one; the name table and dir() do.
+    assert sorted(ramify._LAZY) == sorted(ramify.__all__)
+    assert set(ramify.__all__) <= set(dir(ramify))
+    cyclic_mass = ramify.cyclic_mass  # now cached in the module
+    assert vars(ramify)["cyclic_mass"] is cyclic_mass
+    assert cyclic_mass is importlib.import_module("ramify.mass").cyclic_mass
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ramify.no_such_name
 
 
 def test_star_import():
