@@ -5,7 +5,8 @@ Ramification filtrations and the Herbrand transition
 The Galois group of the maximal elementary abelian p-extension carries a
 filtration by ramification subgroups, indexed two ways: upper numbering
 (stable under quotients) and lower numbering (stable under subgroups).
-The piecewise-linear maps psi and phi translate between them. The
+The piecewise-linear maps psi and phi translate between them, and the
+lower filtration is the upper one with each jump moved by psi. The
 discriminant exponent drops out of the upper numbering, and the different
 exponent out of the lower numbering.
 """
@@ -26,7 +27,7 @@ from ramify import (
 # Case 1: characteristic 0, no p-th root of unity (the generic case).
 params = FieldParams(p=3, f=1, e=2, zeta_in_field=False)
 upper = upper_filtration(params)
-lower = lower_filtration(params)
+lower = lower_filtration(upper)
 print("p=3, e=2, f=1, zeta outside")
 print("  upper breaks:", upper.locations)
 print("  lower breaks:", lower.locations)
@@ -55,12 +56,13 @@ print("  different exponent:", different)
 
 # Case 2: zeta in the field. One extra break appears, at p*e/(p-1).
 zeta = FieldParams(p=3, f=1, e=2, zeta_in_field=True)
+zeta_upper = upper_filtration(zeta)
 print("\np=3, e=2, f=1, zeta inside")
-print("  upper breaks:", upper_filtration(zeta).locations)
-print("  lower breaks:", lower_filtration(zeta).locations)
-print("  index of G^u:", index_table(upper_filtration(zeta)))
-print("  discriminant exponent:", discriminant_exponent(upper_filtration(zeta)),
-      "= p * oracle", zeta.p * different_exponent_oracle(lower_filtration(zeta)))
+print("  upper breaks:", zeta_upper.locations)
+print("  lower breaks:", lower_filtration(zeta_upper).locations)
+print("  index of G^u:", index_table(zeta_upper))
+print("  discriminant exponent:", discriminant_exponent(zeta_upper),
+      "= p * oracle", zeta.p * different_exponent_oracle(lower_filtration(zeta_upper)))
 
 # Case 3: characteristic p. The group is infinite, so each model takes a
 # level m and describes the finite level-m quotient: its upper breaks are
@@ -68,7 +70,8 @@ print("  discriminant exponent:", discriminant_exponent(upper_filtration(zeta)),
 charp = FieldParams(p=3, f=1, characteristic=3)
 print("\ncharacteristic 3, f=1")
 print("  upper breaks at level m=8 (first 6):", upper_filtration(charp, level=8).locations)
-print("  lower breaks at level m=5:", lower_filtration(charp, level=5).locations)
+quotient = upper_filtration(charp, level=5)
+print("  lower breaks at level m=5:", lower_filtration(quotient).locations)
 # The level-5 quotient is a finite extension, with a finite discriminant.
-print("  discriminant exponent at level m=5:", discriminant_exponent(upper_filtration(charp, level=5)),
-      "= p * oracle", charp.p * different_exponent_oracle(lower_filtration(charp, level=5)))
+print("  discriminant exponent at level m=5:", discriminant_exponent(quotient),
+      "= p * oracle", charp.p * different_exponent_oracle(lower_filtration(quotient)))

@@ -27,7 +27,7 @@ from .filtration import (
     FieldParams,
     HerbrandMap,
     discriminant_exponent,
-    herbrand_phi,
+    herbrand_psi,
     index_table,
     lower_filtration,
     space_model,
@@ -255,7 +255,10 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
     # that level, or else at the level shown by --max-index.
     shown = _shown_level(params, args.max_index)
     upper = upper_filtration(params, shown)
-    lower = None if char_p and args.m is None else lower_filtration(params, args.m)
+    if char_p:
+        lower = None if args.m is None else lower_filtration(upper_filtration(params, args.m))
+    else:
+        lower = lower_filtration(upper)
     space = space_model(params, args.m if args.m is not None else shown)
     label = _space_label(params)
     table = index_table(upper) if params.regular else None
@@ -346,8 +349,8 @@ def _cmd_herbrand(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
     if params.characteristic != 0 and args.m is None:
         raise ValueError("characteristic p needs --m to pick a finite quotient")
-    phi = herbrand_phi(lower_filtration(params, args.m))
-    psi = phi.inverse()
+    psi = herbrand_psi(upper_filtration(params, args.m))
+    phi = psi.inverse()
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -459,6 +462,9 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
         return 0
     except (ValueError, ZeroDivisionError) as exc:
         err.write(f"error: {exc}\n")
+        return 1
+    except MemoryError:
+        err.write("error: out of memory\n")
         return 1
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Union
 
-from .breaks import _check_prime, break_sequence, c_truncation, prime_to_p_breaks
+from .breaks import _check_prime, c_truncation, prime_to_p_breaks
 
 __all__ = [
     "FieldParams",
@@ -247,26 +247,6 @@ def _space_scale(params: FieldParams) -> tuple[int, int]:
     return s, params.p * params.e * s // (params.p - 1)
 
 
-def _tres_break(params: FieldParams) -> Optional[int]:
-    """Upper break p*e/(p-1) of the tres ramifiee extensions; None without them."""
-    if params.characteristic != 0 or not params.zeta_in_field:
-        return None
-    return _space_scale(params)[1]
-
-
-def _break_count(params: FieldParams, level: Optional[int]) -> int:
-    """Number of prime-to-p breaks a model holds: e in characteristic 0, and
-    c_truncation(m) on the level-m quotient in characteristic p, where the
-    level is required."""
-    if params.characteristic == 0:
-        if level is not None:
-            raise ValueError("level applies to characteristic p only")
-        return params.e
-    if level is None or level < 1:
-        raise ValueError("characteristic p needs a positive truncation index")
-    return c_truncation(level, params.p)
-
-
 def upper_filtration(
     params: FieldParams, level: Optional[int] = None
 ) -> RamificationFiltration:
@@ -275,33 +255,43 @@ def upper_filtration(
     Characteristic 0: breaks at -1 and b_upper(1..e), each positive break of
     codimension f, plus a final codimension-1 break at p*e/(p-1) when zeta
     is in the field. Characteristic p: the filtration of the level-m quotient
-    (level = m), whose positive breaks are the b_upper(i) <= m.
+    (level = m, required and positive), whose positive breaks are the
+    c_truncation(m) breaks b_upper(i) <= m.
     """
-    count = _break_count(params, level)
-    jumps = [(-1, 1)] + [(b, params.f) for b in prime_to_p_breaks(params.p, count)]
-    tres = _tres_break(params)
-    if tres is not None:
-        jumps.append((tres, 1))
-    return RamificationFiltration(jumps=tuple(jumps), p=params.p, numbering="upper")
+    p = params.p
+    if params.characteristic == 0:
+        if level is not None:
+            raise ValueError("level applies to characteristic p only")
+        count = params.e
+    elif level is None or level < 1:
+        raise ValueError("characteristic p needs a positive truncation index")
+    else:
+        count = c_truncation(level, p)
+    jumps = [(-1, 1)] + [(b, params.f) for b in prime_to_p_breaks(p, count)]
+    if params.characteristic == 0 and params.zeta_in_field:
+        jumps.append((p * params.e // (p - 1), 1))  # the tres ramifiee break
+    return RamificationFiltration(jumps=tuple(jumps), p=p, numbering="upper")
 
 
-def lower_filtration(
-    params: FieldParams, level: Optional[int] = None
-) -> RamificationFiltration:
-    """Ramification filtration in lower numbering.
+def lower_filtration(upper: RamificationFiltration) -> RamificationFiltration:
+    """The same filtration in lower numbering: each jump moved by herbrand_psi(upper).
 
-    Characteristic 0: breaks at -1 and b_lower(1..e), plus b_lower(e) + q^e
-    when zeta is in the field. Characteristic p: the filtration of the
-    level-m quotient (level = m), with breaks at -1 and at b_lower(i) for
-    i in [1, c_truncation(m)].
+    Jumps at locations <= 0 pass through unchanged. Past them, psi's slope on
+    each segment is the index of the subgroup there inside inertia, which
+    grows by p^codim at each jump; so psi(b_upper(i)) = b_lower(i).
     """
-    p, f, q = params.p, params.f, params.q
-    count = _break_count(params, level)
-    rows = break_sequence(p, q, count)
-    jumps = [(-1, 1)] + [(lower, f) for *_, lower in rows]
-    tres = _tres_break(params)
-    if tres is not None:  # psi has slope q^e past b_upper(e)
-        jumps.append((rows[-1][3] + q**count * (tres - rows[-1][2]), 1))
+    if upper.numbering != "upper":
+        raise ValueError("lower numbering is read from an upper-numbering filtration")
+    p = upper.p
+    jumps = []
+    x = y = 0
+    index = 1
+    for loc, codim in upper.jumps:
+        if loc > 0:
+            y += (loc - x) * index
+            x, index = loc, index * p**codim
+            loc = y
+        jumps.append((loc, codim))
     return RamificationFiltration(jumps=tuple(jumps), p=p, numbering="lower")
 
 

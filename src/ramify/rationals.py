@@ -43,27 +43,13 @@ def decimal_string(x: Fraction | int, digits: int = 30) -> str:
     sign = "-" if x < 0 else ""
     n, d = abs(x.numerator), x.denominator
     whole, rem = divmod(n, d)
-    if whole > 0:
-        out = str(whole)
-        significant = len(out)
-        if rem == 0 or significant >= digits:
-            return sign + out
-        frac_digits = []
-        while rem != 0 and significant < digits:
-            rem *= 10
-            digit, rem = divmod(rem, d)
-            frac_digits.append(str(digit))
-            significant += 1
-        return sign + out + "." + "".join(frac_digits)
-    # No integer part: skip leading zeros, then take significant digits.
+    head = str(whole)
+    # Leading zeros after "0." are not significant; every other digit is.
+    significant = len(head) if whole else 0
     frac_digits = []
-    significant = 0
     while rem != 0 and significant < digits:
-        rem *= 10
-        digit, rem = divmod(rem, d)
-        if digit == 0 and significant == 0:
-            frac_digits.append("0")
-            continue
+        digit, rem = divmod(rem * 10, d)
         frac_digits.append(str(digit))
-        significant += 1
-    return sign + "0." + "".join(frac_digits)
+        if significant or digit:
+            significant += 1
+    return sign + head + ("." + "".join(frac_digits) if frac_digits else "")

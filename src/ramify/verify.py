@@ -110,10 +110,11 @@ def check_break_sequence_consistency() -> None:
 def check_c_truncation() -> None:
     """c is nondecreasing, steps by p-1 over each p-block, counts non-multiples."""
     for p in (2, 3, 5, 7):
-        prev = 0
+        prev = count = 0
         for m in range(0, 500):
             c = breaks.c_truncation(m, p)
-            assert c == sum(1 for n in range(1, m + 1) if n % p)
+            count += m % p != 0  # the non-multiples of p in [1, m]
+            assert c == count
             assert c >= prev
             prev = c
             assert breaks.c_truncation(m + p, p) == c + p - 1
@@ -189,8 +190,9 @@ def check_line_counts() -> None:
 def check_psi_phi_inverse() -> None:
     """phi(psi(x)) = x exactly on a mesh, for every valid char-0 field."""
     for params in _char0_grid():
-        psi = herbrand_psi(upper_filtration(params))
-        phi = herbrand_phi(lower_filtration(params))
+        up = upper_filtration(params)
+        psi = herbrand_psi(up)
+        phi = herbrand_phi(lower_filtration(up))
         top = psi.breakpoints[-1][0] + 2
         for k in range(50):
             x = Fraction(k * top, 49) if k else Fraction(0)
@@ -200,23 +202,23 @@ def check_psi_phi_inverse() -> None:
 def check_phi_matches_inverted_psi() -> None:
     """herbrand_phi is structurally the inverse map of herbrand_psi."""
     for params in _char0_grid():
-        psi = herbrand_psi(upper_filtration(params))
-        phi = herbrand_phi(lower_filtration(params))
-        assert phi == psi.inverse()
+        up = upper_filtration(params)
+        assert herbrand_phi(lower_filtration(up)) == herbrand_psi(up).inverse()
 
 
 def check_different_exponent() -> None:
     """The conductor-discriminant sum is p times the lower-numbering oracle."""
     for params, m in _regime_grid(es=range(1, 9), fs=range(1, 4)):
-        disc = discriminant_exponent(upper_filtration(params, m))
-        assert disc == params.p * different_exponent_oracle(lower_filtration(params, m))
+        up = upper_filtration(params, m)
+        oracle = different_exponent_oracle(lower_filtration(up))
+        assert discriminant_exponent(up) == params.p * oracle
 
 
 def check_dimension_bookkeeping() -> None:
     """Codim sums, codim multisets, and space dimensions all agree."""
     for params in _char0_grid():
         up = upper_filtration(params)
-        low = lower_filtration(params)
+        low = lower_filtration(up)
         expected = (2 if params.zeta_in_field else 1) + params.e * params.f
         assert up.total_dim == low.total_dim == expected
         assert sorted(up.codims) == sorted(low.codims)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import ramify.cli
 import ramify.verify
 from ramify.breaks import b_upper
 from ramify.cli import _build_parser, _digit_column, _json, run
@@ -423,6 +425,44 @@ def test_row_past_the_digit_limit_fails_with_the_interpreters_message(argv, fmt)
     code, out, err = _run(argv + ["--format", fmt])
     assert code == 1 and out == ""
     assert err == "error: " + _digit_limit_message() + "\n"
+
+
+def test_memory_error_exits_1_with_one_line(monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(ramify.cli, "break_sequence", exhausted)
+    assert _run(["breaks", "--p", "3", "--e", "4"]) == (1, "", "error: out of memory\n")
+
+
+_ADDRESS_SPACE = 400 << 20  # bytes
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+def test_out_of_memory_in_a_real_process_exits_1_without_traceback():
+    # Unbounded, this table would need gigabytes. Where the kernel ignores
+    # RLIMIT_AS, a 1 GiB mapping (reserved, never touched) succeeds, and the
+    # command is not run.
+    probe = subprocess.run(
+        [sys.executable, "-c", "import mmap; mmap.mmap(-1, 1 << 30)"],
+        capture_output=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    if probe.returncode == 0:
+        pytest.skip("RLIMIT_AS is not enforced here")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramify", "breaks", "--p", "3", "--e", "200000"],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_usage_error_exits_nonzero():

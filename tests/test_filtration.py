@@ -125,19 +125,42 @@ class TestFiltrations:
         assert list(u.jumps) == [(-1, 1), (1, 1), (3, 1), (5, 1)]
 
     def test_lower_regular(self):
-        low = lower_filtration(P321)
+        low = lower_filtration(upper_filtration(P321))
         assert list(low.jumps) == [(-1, 1), (1, 1), (4, 1)]
 
     def test_lower_zeta_extra_jump(self):
-        low = lower_filtration(Q2)
+        low = lower_filtration(upper_filtration(Q2))
         assert list(low.jumps) == [(-1, 1), (1, 1), (3, 1)]
-        deep = lower_filtration(P321Z)
+        deep = lower_filtration(upper_filtration(P321Z))
         assert list(deep.locations) == [-1, 1, 4, 4 + 9]
 
     def test_lower_char_p_is_complete_quotient(self):
-        low = lower_filtration(CHAR3, level=5)
+        up = upper_filtration(CHAR3, 5)
+        low = lower_filtration(up)
         assert list(low.locations) == [-1, 1, 4, 22, 49]
-        assert low.total_dim == upper_filtration(CHAR3, 5).total_dim == 5
+        assert low.total_dim == up.total_dim == 5
+
+    def test_lower_is_b_lower_in_every_regime(self):
+        # The walk over the upper jumps against the closed form b_lower, and
+        # the tres ramifiee jump against its own closed form.
+        sizes = [*range(1, 13), 100, 400, 800]
+        for p in (2, 3, 5, 7):
+            for f in (1, 2, 3):
+                for params, m in _regimes(p, f, sizes, [*range(1, 30), 400, 800]):
+                    q = params.q
+                    count = params.e if m is None else m - m // p
+                    low = lower_filtration(upper_filtration(params, m))
+                    closed = [b_lower(i, p, q) for i in range(1, count + 1)]
+                    assert low.jumps[: count + 1] == ((-1, 1), *((b, f) for b in closed))
+                    if params.zeta_in_field and m is None:
+                        assert low.jumps[count + 1 :] == ((_tres_lower(params), 1),)
+                    else:
+                        assert len(low.jumps) == count + 1
+
+    def test_lower_rejects_lower_numbering(self):
+        low = lower_filtration(upper_filtration(P321))
+        with pytest.raises(ValueError, match="upper-numbering"):
+            lower_filtration(low)
 
     @pytest.mark.parametrize(
         "params,m",
@@ -149,8 +172,8 @@ class TestFiltrations:
     )
     def test_lower_breaks_match_closed_form_and_psi_at_scale(self, params, m):
         p, q = params.p, params.q
-        low = lower_filtration(params, m)
         up = upper_filtration(params, m)
+        low = lower_filtration(up)
         count = params.e if m is None else m - m // p
         closed = [b_lower(i, p, q) for i in range(1, count + 1)]
         assert list(low.locations[1 : count + 1]) == closed
@@ -164,7 +187,7 @@ class TestFiltrations:
     def test_codims_carry_residual_degree(self):
         u = upper_filtration(FieldParams(p=3, f=2, e=2, zeta_in_field=False))
         assert list(u.jumps) == [(-1, 1), (1, 2), (2, 2)]
-        low = lower_filtration(FieldParams(p=3, f=2, e=2, zeta_in_field=False))
+        low = lower_filtration(u)
         assert sorted(u.codims) == sorted(low.codims)
 
     def test_dim_at(self):
@@ -207,9 +230,10 @@ class TestHerbrand:
         assert big(Fraction(3)) == 9
 
     def test_phi_inverts_psi(self):
-        phi = herbrand_phi(lower_filtration(P321))
+        up = upper_filtration(P321)
+        phi = herbrand_phi(lower_filtration(up))
         assert phi(Fraction(4)) == 2
-        psi = herbrand_psi(upper_filtration(P321))
+        psi = herbrand_psi(up)
         for x in range(0, 30):
             u = Fraction(x, 3)
             assert phi(psi(u)) == u
@@ -218,7 +242,7 @@ class TestHerbrand:
     def test_phi_recovers_upper_breaks(self):
         for e in range(1, 5):
             params = FieldParams(p=3, f=1, e=e, zeta_in_field=False)
-            phi = herbrand_phi(lower_filtration(params))
+            phi = herbrand_phi(lower_filtration(upper_filtration(params)))
             for i in range(1, e + 1):
                 assert phi(Fraction(b_lower(i, 3, 3))) == b_upper(i, 3)
 
@@ -228,7 +252,7 @@ class TestHerbrand:
 
     def test_wrong_numbering_rejected(self):
         with pytest.raises(ValueError):
-            herbrand_psi(lower_filtration(Q3))
+            herbrand_psi(lower_filtration(upper_filtration(Q3)))
         with pytest.raises(ValueError):
             herbrand_phi(upper_filtration(Q3))
 
@@ -239,11 +263,19 @@ class TestHerbrand:
         # filtration inverts phi of its lower one.
         params = FieldParams(p=p, f=f, characteristic=p)
         for m in range(1, 13):
-            psi = herbrand_psi(upper_filtration(params, m))
-            assert psi == herbrand_phi(lower_filtration(params, m)).inverse()
+            up = upper_filtration(params, m)
+            assert herbrand_psi(up) == herbrand_phi(lower_filtration(up)).inverse()
+
+    def test_phi_of_lower_is_inverted_psi_on_a_hand_built_filtration(self):
+        upper = RamificationFiltration(jumps=((-1, 1), (1, 1), (3, 2)), p=3, numbering="upper")
+        lower = lower_filtration(upper)
+        assert lower == RamificationFiltration(
+            jumps=((-1, 1), (1, 1), (7, 2)), p=3, numbering="lower"
+        )
+        assert herbrand_phi(lower) == herbrand_psi(upper).inverse()
 
     def test_char_p_quotient_maps(self):
-        phi = herbrand_phi(lower_filtration(CHAR3, level=5))
+        phi = herbrand_phi(lower_filtration(upper_filtration(CHAR3, 5)))
         psi = phi.inverse()
         assert psi(Fraction(2)) == 4
         assert psi(Fraction(4)) == 22
@@ -258,10 +290,12 @@ class TestHerbrand:
         ids=["p5-f2-zeta", "p3-f1-regular"],
     )
     def test_integer_walk_matches_fraction_reference(self, params):
-        psi = herbrand_psi(upper_filtration(params))
-        assert psi == _transition_reference(upper_filtration(params), +1)
-        phi = herbrand_phi(lower_filtration(params))
-        assert phi == _transition_reference(lower_filtration(params), -1)
+        up = upper_filtration(params)
+        psi = herbrand_psi(up)
+        assert psi == _transition_reference(up, +1)
+        low = lower_filtration(up)
+        phi = herbrand_phi(low)
+        assert phi == _transition_reference(low, -1)
         for m in (psi, phi):
             assert all(type(v) is Fraction for point in m.breakpoints for v in point)
 
@@ -337,7 +371,14 @@ class TestIndexTable:
 
     def test_rejects_lower_numbering(self):
         with pytest.raises(ValueError, match="upper-numbering"):
-            index_table(lower_filtration(P321))
+            index_table(lower_filtration(upper_filtration(P321)))
+
+
+def _tres_lower(params):
+    """The lower tres ramifiee jump in closed form, b_lower(e) + q^e (p e/(p-1) - b_upper(e)):
+    psi has slope q^e past b_upper(e). Kept here as a reference."""
+    e, p, q = params.e, params.p, params.q
+    return b_lower(e, p, q) + q**e * (p * e // (p - 1) - b_upper(e, p))
 
 
 def _different_closed(params):
@@ -351,8 +392,8 @@ class TestDifferent:
     def test_oracle_known_values(self):
         unramified = RamificationFiltration(jumps=((-1, 1),), p=3, numbering="lower")
         assert different_exponent_oracle(unramified) == 0
-        assert different_exponent_oracle(lower_filtration(Q3)) == 4
-        assert different_exponent_oracle(lower_filtration(P321)) == 22
+        assert different_exponent_oracle(lower_filtration(upper_filtration(Q3))) == 4
+        assert different_exponent_oracle(lower_filtration(upper_filtration(P321))) == 22
 
     def test_oracle_rejects_truncated(self):
         # A characteristic-p filtration is its level-m quotient's, which the
@@ -368,9 +409,10 @@ class TestDifferent:
             (P321, 22),
             (FieldParams(p=5, f=1, e=1, zeta_in_field=False), 8),
         ):
+            up = upper_filtration(params)
             assert _different_closed(params) == different
-            assert different_exponent_oracle(lower_filtration(params)) == different
-            assert discriminant_exponent(upper_filtration(params)) == params.p * different
+            assert different_exponent_oracle(lower_filtration(up)) == different
+            assert discriminant_exponent(up) == params.p * different
 
     def test_closed_form_matches_oracle_on_grid(self):
         # On regular fields the sum is also p times the different's closed form.
@@ -378,12 +420,14 @@ class TestDifferent:
             for e in range(1, 201):
                 for f in range(1, 4):
                     params = FieldParams(p=p, f=f, e=e, zeta_in_field=False)
+                    up = upper_filtration(params)
                     closed = _different_closed(params)
-                    disc = discriminant_exponent(upper_filtration(params))
-                    assert disc == p * closed == p * different_exponent_oracle(lower_filtration(params))
+                    disc = discriminant_exponent(up)
+                    assert disc == p * closed == p * different_exponent_oracle(lower_filtration(up))
         for params, m in ALL_REGIMES:
-            disc = discriminant_exponent(upper_filtration(params, m))
-            assert disc == params.p * different_exponent_oracle(lower_filtration(params, m))
+            up = upper_filtration(params, m)
+            disc = discriminant_exponent(up)
+            assert disc == params.p * different_exponent_oracle(lower_filtration(up))
 
     def test_discriminant_known_values(self):
         # The different exponent is the discriminant's over the residue degree p.
@@ -396,15 +440,16 @@ class TestDifferent:
             (P321Z, None, 282, 94),
             (CHAR3, 5, 1308, 436),
         ):
-            assert discriminant_exponent(upper_filtration(params, m)) == disc
+            up = upper_filtration(params, m)
+            assert discriminant_exponent(up) == disc
             assert disc == params.p * different
-            assert different_exponent_oracle(lower_filtration(params, m)) == different
+            assert different_exponent_oracle(lower_filtration(up)) == different
 
     def test_rejects_lower_numbering(self):
         with pytest.raises(ValueError, match="upper-numbering"):
-            discriminant_exponent(lower_filtration(P321Z))
+            discriminant_exponent(lower_filtration(upper_filtration(P321Z)))
         with pytest.raises(ValueError, match="upper-numbering"):
-            discriminant_exponent(lower_filtration(CHAR3, 5))
+            discriminant_exponent(lower_filtration(upper_filtration(CHAR3, 5)))
 
 
 class TestCyclicDiscriminant:

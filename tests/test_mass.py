@@ -9,7 +9,6 @@ from ramify.breaks import b_upper, c_truncation
 from ramify.filtration import (
     FieldParams,
     break_of_line,
-    lower_filtration,
     space_model,
     upper_filtration,
 )
@@ -240,9 +239,9 @@ class TestBruteForce:
         assert got < report.total
 
     def test_char_p_needs_level(self):
-        # The five models of a field read the level alike: characteristic p
+        # The four models of a field read the level alike: characteristic p
         # needs a positive one, and characteristic 0 takes none.
-        models = (upper_filtration, lower_filtration, space_model, brute_force_mass, cyclic_mass)
+        models = (upper_filtration, space_model, brute_force_mass, cyclic_mass)
         for model in models:
             for level in (None, 0, -2):
                 with pytest.raises(ValueError, match="needs a positive truncation index"):
