@@ -8,16 +8,30 @@ prime to p. This demo walks the sequence b_upper(i) that enumerates them,
 and its lower-numbering companion b_lower(i).
 """
 
-from ramify import a_of, b_upper, break_sequence, c_truncation, prime_to_p_breaks
+from ramify import (
+    FieldParams,
+    a_of,
+    b_lower,
+    b_upper,
+    c_truncation,
+    lower_filtration,
+    prime_to_p_breaks,
+    upper_filtration,
+)
 
 p, f = 3, 2
 q = p**f
 
-# The first few rows of the break table for q = 9.
+# The first few rows of the break table for q = 9. The level-m quotient of
+# F_9((t)) has the upper breaks b_upper(i) <= m, so at m = b_upper(10) they
+# are the first ten; its lower filtration moves each one by Herbrand's psi.
+upper = upper_filtration(FieldParams(p=p, f=f, characteristic=p), b_upper(10, p))
+lower = lower_filtration(upper)
 print(f"break table, p = {p}, q = {q}")
 print("  i   a(i)  b_upper  b_lower")
-for i, a, bu, bl in break_sequence(p, q, 10):
-    print(f"{i:3d} {a:6d} {bu:8d}  {bl}")
+for i, (bu, bl) in enumerate(zip(upper.locations[1:], lower.locations[1:]), 1):
+    assert bl == b_lower(i, p, q)  # the closed form of the same break
+    print(f"{i:3d} {a_of(i, p):6d} {bu:8d}  {bl}")
 
 # b_upper enumerates the prime-to-p integers in increasing order: the gaps
 # in the b_upper column above are exactly the multiples of 3.

@@ -15,7 +15,7 @@ from importlib import import_module
 _LAZY = {
     name: module
     for module, names in {
-        "breaks": "a_of b_lower b_upper break_sequence c_truncation prime_to_p_breaks",
+        "breaks": "a_of b_lower b_upper c_truncation prime_to_p_breaks",
         "filtration": "FieldParams FilteredSpace HerbrandMap RamificationFiltration"
         " cyclic_discriminant different_exponent_oracle discriminant_exponent herbrand_phi"
         " herbrand_psi index_table lower_filtration orthogonal_index space_model upper_filtration",
@@ -45,7 +45,6 @@ __all__ = [
     "average_c_cyclotomic",
     "b_lower",
     "b_upper",
-    "break_sequence",
     "brute_force_mass",
     "c_truncation",
     "count_lines",

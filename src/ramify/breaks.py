@@ -19,7 +19,6 @@ __all__ = [
     "prime_to_p_breaks",
     "b_lower",
     "c_truncation",
-    "break_sequence",
 ]
 
 
@@ -111,23 +110,3 @@ def c_truncation(m: int, p: int) -> int:
     _check_prime(p)
     return m - m // p
 
-
-def break_sequence(p: int, q: int, count: int) -> list[tuple[int, int, int, int]]:
-    """Rows (i, a_of(i), b_upper(i), b_lower(i)) for i in [1, count]."""
-    if count < 0:
-        raise ValueError("index out of domain")
-    _check_q(p, q)
-    rows = []
-    lower = prev_upper = 0
-    step = 1  # q^(i-1)
-    for i in range(1, count + 1):
-        a = (i - 1) // (p - 1)
-        upper = i + a
-        # Incremental form of the closed formula: crossing from b_upper(i-1)
-        # to b_upper(i) adds one q^{i-1}-sized step per unit of upper distance,
-        # which telescopes to the two-sum expression tested against b_lower.
-        lower += step * (upper - prev_upper)
-        rows.append((i, a, upper, lower))
-        prev_upper = upper
-        step *= q
-    return rows

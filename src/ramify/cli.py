@@ -7,8 +7,8 @@ stable schema (schema_version "1") with rationals as
 {"num": "<decimal>", "den": "<decimal>"} so consumers never need bignum
 JSON numbers for exact values.
 
-Exit codes: 0 success, 1 invalid parameters (one-line diagnostic on
-stderr), 2 verification failure.
+Exit codes: 0 success (--help too), 1 invalid parameters or a usage error
+(one-line diagnostic on stderr), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from .breaks import b_upper, break_sequence
+from .breaks import b_upper
 from .filtration import (
     FieldParams,
     HerbrandMap,
@@ -328,8 +328,16 @@ def _cmd_breaks(args: argparse.Namespace) -> list[str]:
     count = args.e if args.e is not None else args.max_index
     if count < 1:
         raise ValueError("need at least one break index")
-    q = FieldParams(p=args.p, f=args.f, characteristic=args.p).q
-    rows = break_sequence(args.p, q, count)
+    params = FieldParams(p=args.p, f=args.f, characteristic=args.p)
+    q = params.q
+    # c(b_upper(n)) = n, so the quotient at level b_upper(count) holds the
+    # first count breaks; its jumps past the unramified one are the rows.
+    upper = upper_filtration(params, _shown_level(params, count))
+    lower = lower_filtration(upper)
+    rows = [
+        (i, b - i, b, bl)
+        for i, (b, bl) in enumerate(zip(upper.locations[1:], lower.locations[1:]), 1)
+    ]
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -407,10 +415,18 @@ def _field_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so run() reports them in
+    one line like any other invalid input; its subparsers share the class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args gives a fresh Namespace per call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramify",
         description="Exact ramification filtrations and degree-p mass data for local fields.",
     )
@@ -445,13 +461,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; fold those into code 1.
-        return 0 if exc.code == 0 else 1
-    try:
+        try:
+            args = _build_parser().parse_args(list(argv))
+        except SystemExit:
+            return 0  # --help printed its text; usage errors raise ValueError
         if args.command == "verify":
             return _cmd_verify(out)
         # The whole output is rendered before its one write, so a command

@@ -33,8 +33,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .breaks import _check_prime, c_truncation, prime_to_p_breaks
 
@@ -276,23 +277,19 @@ def upper_filtration(
 def lower_filtration(upper: RamificationFiltration) -> RamificationFiltration:
     """The same filtration in lower numbering: each jump moved by herbrand_psi(upper).
 
-    Jumps at locations <= 0 pass through unchanged. Past them, psi's slope on
-    each segment is the index of the subgroup there inside inertia, which
-    grows by p^codim at each jump; so psi(b_upper(i)) = b_lower(i).
+    Jumps at locations <= 0 pass through unchanged; the positive jumps go to
+    psi's values there, read from index_table(upper). So psi(b_upper(i)) =
+    b_lower(i).
     """
-    if upper.numbering != "upper":
-        raise ValueError("lower numbering is read from an upper-numbering filtration")
-    p = upper.p
-    jumps = []
-    x = y = 0
-    index = 1
-    for loc, codim in upper.jumps:
-        if loc > 0:
-            y += (loc - x) * index
-            x, index = loc, index * p**codim
-            loc = y
-        jumps.append((loc, codim))
-    return RamificationFiltration(jumps=tuple(jumps), p=p, numbering="lower")
+    psi_at = _psi_at_jumps(index_table(upper))
+    jumps = tuple([(next(psi_at) if loc > 0 else loc, codim) for loc, codim in upper.jumps])
+    return RamificationFiltration(jumps=jumps, p=upper.p, numbering="lower")
+
+
+def _psi_at_jumps(table: list[tuple[int, Optional[int], int]]) -> Iterator[int]:
+    """psi at the hi of each bounded row of an index table: the partial sums of
+    the rises (hi - lo) * index, since psi's slope on ]lo, hi] is the index."""
+    return accumulate((hi - lo) * index for lo, hi, index in table[:-1])
 
 
 class HerbrandMap(_Record):
@@ -340,53 +337,49 @@ class HerbrandMap(_Record):
         )
 
 
-def _transition(filtration: RamificationFiltration, exponent_sign: int) -> HerbrandMap:
-    """Piecewise-linear map whose slope is p^(sign * codims crossed so far);
-    jumps at locations <= 0 do not count.
-
-    The slope is kept as the integer ratio num/den of running powers of p,
-    so each jump costs one multiplication by p^codim. y stays an int while
-    each segment's rise divides exactly, as it does for the filtrations of
-    this module; a hand-built filtration can need a Fraction.
-    """
-    p = filtration.p
-    points = [(Fraction(0), Fraction(0))]
-    slopes: list[Fraction] = []
-    num = den = 1
-    x_prev = y = 0
-    for loc, codim in filtration.jumps:
-        if loc <= 0:
-            continue
-        rise, rem = divmod((loc - x_prev) * num, den)
-        y += rise if rem == 0 else Fraction(rem, den) + rise
-        points.append((Fraction(loc), Fraction(y)))
-        slopes.append(Fraction(num, den))
-        if exponent_sign > 0:
-            num *= p**codim
-        else:
-            den *= p**codim
-        x_prev = loc
-    slopes.append(Fraction(num, den))
-    return HerbrandMap(breakpoints=tuple(points), slopes=tuple(slopes))
-
-
 def herbrand_psi(upper: RamificationFiltration) -> HerbrandMap:
     """Transition from upper to lower numbering of a complete filtration.
 
-    The slope past an upper break u is the index of the subgroup there
-    inside the inertia group (breaks at locations <= 0 do not count), so
-    psi(b_upper(i)) = b_lower(i).
+    The map through (0, 0) and each positive upper jump paired with its
+    lower jump; its slopes are the indices of index_table(upper), the index
+    inside inertia of the subgroup on each segment. The table's ints become
+    Fractions here only.
     """
-    if upper.numbering != "upper":
-        raise ValueError("psi consumes an upper-numbering filtration")
-    return _transition(upper, exponent_sign=+1)
+    table = index_table(upper)
+    pairs = zip(table[:-1], _psi_at_jumps(table))
+    points = ((Fraction(hi), Fraction(y)) for (_, hi, _), y in pairs)
+    return HerbrandMap(
+        breakpoints=((Fraction(0), Fraction(0)), *points),
+        slopes=tuple(Fraction(index) for _, _, index in table),
+    )
 
 
 def herbrand_phi(lower: RamificationFiltration) -> HerbrandMap:
-    """Transition from lower to upper numbering; inverse of herbrand_psi."""
+    """Transition from lower to upper numbering; inverse of herbrand_psi.
+
+    It walks the lower jumps on its own, as the route independent of psi:
+    the slope is 1/den, and den grows by p^codim at each jump (jumps at
+    locations <= 0 do not count). y stays an int while each segment's rise
+    divides exactly, as it does for the filtrations of this module; a
+    hand-built filtration can need a Fraction.
+    """
     if lower.numbering != "lower":
         raise ValueError("phi consumes a lower-numbering filtration")
-    return _transition(lower, exponent_sign=-1)
+    points = [(Fraction(0), Fraction(0))]
+    slopes: list[Fraction] = []
+    den = 1
+    x_prev = y = 0
+    for loc, codim in lower.jumps:
+        if loc <= 0:
+            continue
+        rise, rem = divmod(loc - x_prev, den)
+        y += rise if rem == 0 else Fraction(rem, den) + rise
+        points.append((Fraction(loc), Fraction(y)))
+        slopes.append(Fraction(1, den))
+        den *= lower.p**codim
+        x_prev = loc
+    slopes.append(Fraction(1, den))
+    return HerbrandMap(breakpoints=tuple(points), slopes=tuple(slopes))
 
 
 def index_table(upper: RamificationFiltration) -> list[tuple[int, Optional[int], int]]:
@@ -395,10 +388,13 @@ def index_table(upper: RamificationFiltration) -> list[tuple[int, Optional[int],
     Rows (lo, hi, index) mean: for u in ]lo, hi] the subgroup at u has index
     `index` in the inertia group; hi = None on the final unbounded row. The
     first row starts at 0 and the index there is 1. The rows are the
-    segments and slopes of herbrand_psi(upper), in every regime.
+    segments and slopes of herbrand_psi(upper), in every regime: the package's
+    one walk of psi, which lower_filtration and herbrand_psi read.
     """
     if upper.numbering != "upper":
-        raise ValueError("the index table reads an upper-numbering filtration")
+        raise ValueError(
+            "the lower filtration, psi and the index table read an upper-numbering filtration"
+        )
     rows: list[tuple[int, Optional[int], int]] = []
     lo, index = 0, 1
     for loc, codim in upper.jumps:

@@ -95,16 +95,18 @@ def check_b_lower_closed_form() -> None:
             assert psi(breaks.b_upper(i, params.p)) == breaks.b_lower(i, params.p, params.q)
 
 
-def check_break_sequence_consistency() -> None:
-    """Incremental tabulation equals the closed form, row by row."""
+def check_breaks_table_rows() -> None:
+    """The breaks table's route, the lower filtration of the quotient at
+    level b_upper(40), equals the closed forms row by row."""
     for p, f in ((2, 1), (3, 1), (3, 2), (5, 1)):
-        q = p**f
-        rows = breaks.break_sequence(p, q, 40)
+        params = FieldParams(p=p, f=f, characteristic=p)
+        up = upper_filtration(params, breaks.b_upper(40, p))
+        rows = list(zip(up.locations[1:], lower_filtration(up).locations[1:]))
         assert len(rows) == 40
-        for i, a, bu, bl in rows:
-            assert a == breaks.a_of(i, p)
+        for i, (bu, bl) in enumerate(rows, 1):
+            assert bu - i == breaks.a_of(i, p)
             assert bu == breaks.b_upper(i, p)
-            assert bl == breaks.b_lower(i, p, q)
+            assert bl == breaks.b_lower(i, p, params.q)
 
 
 def check_c_truncation() -> None:
@@ -363,7 +365,7 @@ def check_mass_monotone_in_zeta() -> None:
 CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("breaks.bijection_onto_prime_to_p", check_break_bijection),
     ("breaks.b_lower_matches_psi", check_b_lower_closed_form),
-    ("breaks.sequence_rows_consistent", check_break_sequence_consistency),
+    ("breaks.sequence_rows_consistent", check_breaks_table_rows),
     ("breaks.c_truncation_counts", check_c_truncation),
     ("rationals.geometric_identities", check_geometric_identities),
     ("fpspace.idempotent_is_idempotent", check_idempotency),

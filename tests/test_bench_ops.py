@@ -1,0 +1,57 @@
+"""The benchmark's own op checker, run on the seed-1 op lists of two workloads.
+
+A benchmark run counts the ops that fail its checker, so a change that fails
+one more op than its parent shows up here first. `bench/workloads.py` is
+imported as it is, through `sys.path`; nothing under `bench/` is written.
+
+The only ops allowed to fail are those past the interpreter's 4300-digit
+limit for int-to-str conversion: `report` and `mass` at p = 5, f = 2 with
+e >= 769, or --max-index >= 770 in characteristic p.
+"""
+
+import pathlib
+import sys
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+import workloads  # noqa: E402
+
+pytestmark = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="the failing ops are those past the default 4300-digit limit",
+)
+
+
+def _past_digit_limit(argv):
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] not in ("report", "mass") or (flags["--p"], flags["--f"]) != ("5", "2"):
+        return False
+    if flags.get("--char") == "p":
+        return int(flags["--max-index"]) >= 770
+    return int(flags["--e"]) >= 769
+
+
+def test_report_scaling_fails_only_past_the_digit_limit():
+    scaling = workloads.ReportScaling()
+    ops = scaling.make_ops(1)
+    failed = {}
+    for argv in ops:
+        failure = scaling.check(argv, scaling.execute(argv, None))
+        if failure is not None:
+            failed[tuple(argv)] = failure
+    assert sorted(failed) == sorted(tuple(argv) for argv in ops if _past_digit_limit(argv))
+    assert all(kind == "error" and "Exceeds the limit" in reason for kind, reason in failed.values())
+
+
+def test_cli_cold_ops_pass_in_process():
+    # CliCold.execute starts an interpreter per op; here each op runs through
+    # `ramify.cli.run` in process, as report_scaling's ops do.
+    cold = workloads.CliCold()
+    golden = pathlib.Path(workloads.GOLDEN_DIR)
+    cold.golden = {name: (golden / name).read_text(encoding="utf-8") for _, name in workloads.GOLDEN}
+    for op in cold.make_ops(1):
+        code, out, err, exc = workloads._run_cli(op[0])
+        assert exc is None, exc
+        assert cold.check(op, (code, out, err)) is None, op

@@ -1,3 +1,5 @@
+import io
+import json
 import time
 
 import pytest
@@ -9,10 +11,10 @@ from ramify.breaks import (
     a_of,
     b_lower,
     b_upper,
-    break_sequence,
     c_truncation,
     prime_to_p_breaks,
 )
+from ramify.cli import run
 from ramify.filtration import FieldParams
 from ramify.fpspace import count_lines
 from ramify.mass import average_c_closed_form, series_value
@@ -114,11 +116,19 @@ def _b_lower_two_sums(i, p, q):
     return first + second
 
 
+def _breaks_table(p, f, count):
+    """The rows (i, a, b_upper, b_lower) of `ramify breaks`, read from its JSON."""
+    out = io.StringIO()
+    argv = ["breaks", "--p", str(p), "--f", str(f), "--e", str(count), "--format", "json"]
+    assert run(argv, out=out) == 0
+    return [(r["i"], r["a"], r["b_upper"], r["b_lower"]) for r in json.loads(out.getvalue())["rows"]]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_b_lower_closed_form_matches_two_sums_and_table(p, f):
     q = p**f
-    rows = break_sequence(p, q, 150)
+    rows = _breaks_table(p, f, 150)
     assert [row[0] for row in rows] == list(range(1, 151))
     for i, *_, lower in rows:
         assert b_lower(i, p, q) == _b_lower_two_sums(i, p, q) == lower
@@ -155,7 +165,7 @@ def test_c_truncation_step_recurrence(m, p):
 
 
 def test_break_sequence_rows_consistent():
-    rows = break_sequence(3, 9, 12)
+    rows = _breaks_table(3, 2, 12)
     assert len(rows) == 12
     for i, a, bu, bl in rows:
         assert a == a_of(i, 3)
@@ -165,18 +175,3 @@ def test_break_sequence_rows_consistent():
     lowers = [row[3] for row in rows]
     assert uppers == sorted(uppers) and lowers == sorted(lowers)
     assert lowers[0] == 1
-
-
-def test_break_sequence_validates_inputs():
-    with pytest.raises(ValueError, match="prime"):
-        break_sequence(4, 4, 3)
-    with pytest.raises(ValueError, match="power of p"):
-        break_sequence(3, 8, 3)
-    with pytest.raises(ValueError, match="index out of domain"):
-        break_sequence(3, 3, -1)
-    # The count is checked first; q is checked even when no row is asked for.
-    with pytest.raises(ValueError, match="index out of domain"):
-        break_sequence(4, 4, -1)
-    with pytest.raises(ValueError, match="power of p"):
-        break_sequence(3, 8, 0)
-    assert break_sequence(3, 9, 0) == []

@@ -431,7 +431,7 @@ def test_memory_error_exits_1_with_one_line(monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(ramify.cli, "break_sequence", exhausted)
+    monkeypatch.setattr(ramify.cli, "lower_filtration", exhausted)
     assert _run(["breaks", "--p", "3", "--e", "4"]) == (1, "", "error: out of memory\n")
 
 
@@ -465,9 +465,28 @@ def test_out_of_memory_in_a_real_process_exits_1_without_traceback():
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
-def test_usage_error_exits_nonzero():
-    code, _, _ = _run(["report"])  # missing required --p
-    assert code == 1
+def test_usage_error_exits_nonzero(capsys):
+    # argparse's wording varies across Python versions, so only the shape is
+    # pinned: exit 1, one error line on err, nothing on stdout or sys.stderr.
+    for argv in (
+        ["report"],  # missing required --p
+        ["report", "--p", "x", "--e", "1"],
+        ["report", "--p", "3", "--zeta", "maybe"],
+        ["nosuch"],
+        [],
+        ["breaks", "--p", "3", "--e", "2", "--bogus", "1"],
+    ):
+        code, out, err = _run(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert capsys.readouterr() == ("", "")
+
+
+def test_help_exits_0(capsys):
+    assert _run(["--help"])[0] == 0
+    assert _run(["breaks", "--help"])[0] == 0
+    assert "usage: ramify" in capsys.readouterr().out
 
 
 def test_verify_subcommand_passes(monkeypatch):

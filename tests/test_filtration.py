@@ -142,16 +142,21 @@ class TestFiltrations:
 
     def test_lower_is_b_lower_in_every_regime(self):
         # The walk over the upper jumps against the closed form b_lower, and
-        # the tres ramifiee jump against its own closed form.
+        # the tres ramifiee jump against its own closed form; psi, evaluated
+        # at the first, middle and last b_upper(i), lands on b_lower(i).
         sizes = [*range(1, 13), 100, 400, 800]
         for p in (2, 3, 5, 7):
             for f in (1, 2, 3):
                 for params, m in _regimes(p, f, sizes, [*range(1, 30), 400, 800]):
                     q = params.q
                     count = params.e if m is None else m - m // p
-                    low = lower_filtration(upper_filtration(params, m))
+                    up = upper_filtration(params, m)
+                    low = lower_filtration(up)
                     closed = [b_lower(i, p, q) for i in range(1, count + 1)]
                     assert low.jumps[: count + 1] == ((-1, 1), *((b, f) for b in closed))
+                    psi = herbrand_psi(up)
+                    for i in {1, count // 2 + 1, count}:
+                        assert psi(b_upper(i, p)) == closed[i - 1]
                     if params.zeta_in_field and m is None:
                         assert low.jumps[count + 1 :] == ((_tres_lower(params), 1),)
                     else:
@@ -161,28 +166,6 @@ class TestFiltrations:
         low = lower_filtration(upper_filtration(P321))
         with pytest.raises(ValueError, match="upper-numbering"):
             lower_filtration(low)
-
-    @pytest.mark.parametrize(
-        "params,m",
-        [
-            (FieldParams(p=5, f=2, e=800, zeta_in_field=False), None),
-            (FieldParams(p=5, f=2, e=800, zeta_in_field=True), None),
-            (FieldParams(p=5, f=2, characteristic=5), 800),
-        ],
-    )
-    def test_lower_breaks_match_closed_form_and_psi_at_scale(self, params, m):
-        p, q = params.p, params.q
-        up = upper_filtration(params, m)
-        low = lower_filtration(up)
-        count = params.e if m is None else m - m // p
-        closed = [b_lower(i, p, q) for i in range(1, count + 1)]
-        assert list(low.locations[1 : count + 1]) == closed
-        psi = herbrand_psi(up)
-        assert [psi(b_upper(i, p)) for i in range(1, count + 1)] == closed
-        if params.zeta_in_field and m is None:
-            assert low.locations[-1] == closed[-1] + q**count
-        else:
-            assert len(low.locations) == count + 1
 
     def test_codims_carry_residual_degree(self):
         u = upper_filtration(FieldParams(p=3, f=2, e=2, zeta_in_field=False))
@@ -273,6 +256,12 @@ class TestHerbrand:
             jumps=((-1, 1), (1, 1), (7, 2)), p=3, numbering="lower"
         )
         assert herbrand_phi(lower) == herbrand_psi(upper).inverse()
+
+    def test_psi_of_a_hand_built_filtration_matches_the_fraction_walk(self):
+        upper = RamificationFiltration(jumps=((-1, 1), (1, 1), (3, 2)), p=3, numbering="upper")
+        psi = herbrand_psi(upper)
+        assert psi == _transition_reference(upper, +1)
+        assert psi.breakpoints == ((0, 0), (1, 1), (3, 7)) and psi.slopes == (1, 3, 27)
 
     def test_char_p_quotient_maps(self):
         phi = herbrand_phi(lower_filtration(upper_filtration(CHAR3, 5)))

@@ -27,6 +27,7 @@ REMOVED = {
     "BELOW_BREAK_RANGE",
     "ABOVE_BREAK_RANGE",
     "different_exponent_closed",
+    "break_sequence",
 }
 
 
