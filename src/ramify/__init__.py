@@ -30,46 +30,7 @@ _LAZY = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FieldParams",
-    "FilteredSpace",
-    "FpMatrix",
-    "FpSubspace",
-    "GroupAlgebraElement",
-    "HerbrandMap",
-    "MassReport",
-    "RamificationFiltration",
-    "a_of",
-    "apply_idempotent",
-    "average_c_closed_form",
-    "average_c_cyclotomic",
-    "b_lower",
-    "b_upper",
-    "brute_force_mass",
-    "c_truncation",
-    "count_lines",
-    "cyclic_discriminant",
-    "cyclic_mass",
-    "decimal_string",
-    "different_exponent_oracle",
-    "discriminant_exponent",
-    "eigenspace",
-    "enumerate_lines",
-    "geometric_sum_finite",
-    "herbrand_phi",
-    "herbrand_psi",
-    "idempotent",
-    "index_table",
-    "lines_with_break_count",
-    "lower_filtration",
-    "multiplicative_order",
-    "orthogonal_index",
-    "prime_to_p_breaks",
-    "series_value",
-    "space_model",
-    "tres_ramifiee_count",
-    "upper_filtration",
-]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

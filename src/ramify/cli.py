@@ -14,6 +14,7 @@ Exit codes: 0 success (--help too), 1 invalid parameters or a usage error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -117,12 +118,9 @@ def _digit_column(values: Sequence[int]) -> list[str]:
     linear. Once a value passes _TWIN_BITS, it gets an exact Decimal twin.
     While each next v is the value before it times a positive int, the twin
     is multiplied by that quotient (a divmod with a small quotient is linear
-    too) and printed. Any other v goes through str(). A text longer
-    than a nonzero sys.get_int_max_str_digits() is handed to str() on the
-    int itself, which raises the interpreter's own ValueError, so the digit
-    limit holds exactly as for str().
+    too) and printed, however many digits it has. Any other v goes through
+    str(), and so keeps the interpreter's digit limit.
     """
-    limit = sys.get_int_max_str_digits()
     texts = []
     prev = twin = None
     for v in values:
@@ -130,10 +128,7 @@ def _digit_column(values: Sequence[int]) -> list[str]:
             step, rest = divmod(v, prev)
             if rest == 0 and step > 0:
                 twin = _EXACT.multiply(twin, step)
-                text = str(twin)
-                if limit and len(text) > limit:
-                    str(v)
-                texts.append(text)
+                texts.append(str(twin))
                 prev = v
                 continue
         text = str(v)
@@ -463,9 +458,10 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         try:
-            args = _build_parser().parse_args(list(argv))
+            with contextlib.redirect_stdout(out):
+                args = _build_parser().parse_args(list(argv))
         except SystemExit:
-            return 0  # --help printed its text; usage errors raise ValueError
+            return 0  # --help printed its text to out; usage errors raise ValueError
         if args.command == "verify":
             return _cmd_verify(out)
         # The whole output is rendered before its one write, so a command

@@ -296,8 +296,9 @@ class HerbrandMap(_Record):
     """Increasing piecewise-linear bijection of [0, oo) with exact data.
 
     breakpoints[0] is (0, 0); slopes[i] applies between breakpoints i and
-    i+1, and slopes[-1] extends beyond the last breakpoint. All values are
-    Fractions.
+    i+1, and slopes[-1] extends beyond the last breakpoint. Every value is
+    an int or a Fraction, so evaluation and inverse() stay exact; the maps
+    this module builds hold Fractions only.
 
     The interior slopes restate the breakpoints, and nothing cross-checks
     the two; evaluation reads the stored slopes. They are stored anyway:
@@ -313,6 +314,9 @@ class HerbrandMap(_Record):
     ) -> None:
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "slopes", slopes)
+        kinds = {type(v) for point in breakpoints for v in point}
+        if not kinds.union(map(type, slopes)) <= {int, Fraction}:
+            raise TypeError("breakpoints and slopes must be ints or Fractions")
         if not breakpoints or breakpoints[0] != (0, 0):
             raise ValueError("transition maps are anchored at (0, 0)")
         if len(slopes) != len(breakpoints):
@@ -331,9 +335,10 @@ class HerbrandMap(_Record):
         return y0 + (x - x0) * self.slopes[k]
 
     def inverse(self) -> "HerbrandMap":
+        one = Fraction(1)
         return HerbrandMap(
             breakpoints=tuple((y, x) for x, y in self.breakpoints),
-            slopes=tuple(1 / s for s in self.slopes),
+            slopes=tuple(one / s for s in self.slopes),
         )
 
 

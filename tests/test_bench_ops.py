@@ -6,7 +6,8 @@ imported as it is, through `sys.path`; nothing under `bench/` is written.
 
 The only ops allowed to fail are those past the interpreter's 4300-digit
 limit for int-to-str conversion: `report` and `mass` at p = 5, f = 2 with
-e >= 769, or --max-index >= 770 in characteristic p.
+e >= 769, where the total or its fraction of Serre's total has a
+denominator past 4300 digits.
 """
 
 import pathlib
@@ -24,18 +25,19 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _past_digit_limit(argv):
+def _near_digit_limit(argv, size):
+    """A report or mass op at p = 5, f = 2 whose e, or --max-index, is at least size."""
     flags = dict(zip(argv[1::2], argv[2::2]))
     if argv[0] not in ("report", "mass") or (flags["--p"], flags["--f"]) != ("5", "2"):
         return False
-    if flags.get("--char") == "p":
-        return int(flags["--max-index"]) >= 770
-    return int(flags["--e"]) >= 769
+    return int(flags.get("--e") or flags["--max-index"]) >= size
 
 
-def test_report_scaling_fails_only_past_the_digit_limit():
-    scaling = workloads.ReportScaling()
-    ops = scaling.make_ops(1)
+def _past_digit_limit(argv):
+    return _near_digit_limit(argv, 769) and "--e" in argv
+
+
+def _assert_fail_only_past_the_digit_limit(scaling, ops):
     failed = {}
     for argv in ops:
         failure = scaling.check(argv, scaling.execute(argv, None))
@@ -43,6 +45,25 @@ def test_report_scaling_fails_only_past_the_digit_limit():
             failed[tuple(argv)] = failure
     assert sorted(failed) == sorted(tuple(argv) for argv in ops if _past_digit_limit(argv))
     assert all(kind == "error" and "Exceeds the limit" in reason for kind, reason in failed.values())
+
+
+def test_report_scaling_fails_only_past_the_digit_limit():
+    scaling = workloads.ReportScaling()
+    _assert_fail_only_past_the_digit_limit(scaling, scaling.make_ops(1))
+
+
+def test_report_scaling_near_the_digit_limit_fails_only_in_characteristic_0():
+    # Seeds 1-20 draw 19 such ops; the characteristic-p ones past 4300
+    # digits (such as --max-index 789 at seed 19) print in full and pass.
+    scaling = workloads.ReportScaling()
+    ops = [
+        argv
+        for seed in range(1, 21)
+        for argv in scaling.make_ops(seed)
+        if _near_digit_limit(argv, 740)
+    ]
+    assert len(ops) == 19
+    _assert_fail_only_past_the_digit_limit(scaling, ops)
 
 
 def test_cli_cold_ops_pass_in_process():

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -123,13 +124,15 @@ SCHEMA_ARGVS = [
     for regime in ("regular", "zeta", "charp")
     for size in (1, 2, 37, 200)
 ] + [
-    # p = 5, f = 2 near the 4300-digit limit, where the mass rows have the most digits.
+    # p = 5, f = 2 near the 4300-digit limit, where the mass rows have the most
+    # digits; at m = 800 the last denominators are past it and print in full.
     [sub, "--p", "5", "--f", "2", *flags]
     for sub in ("report", "mass")
     for flags in (
         ["--e", "760", "--zeta", "out"],
         ["--e", "760", "--zeta", "in"],
         ["--char", "p", "--m", "700", "--max-index", "700"],
+        ["--char", "p", "--m", "800", "--max-index", "800"],
     )
 ]
 
@@ -169,8 +172,11 @@ def test_json_writer_matches_stdlib_on_hand_made_documents(doc):
         # The last row's denominator has exactly 4300 digits, the most the limit allows.
         (["--char", "p", "--m", "769", "--max-index", "769"],
          FieldParams(p=5, f=2, characteristic=5)),
+        # Past it: the mass columns print in full under the default limit.
+        (["--char", "p", "--m", "800", "--max-index", "800"],
+         FieldParams(p=5, f=2, characteristic=5)),
     ],
-    ids=["e760 zeta out", "e760 zeta in", "char p m700", "char p m769"],
+    ids=["e760 zeta out", "e760 zeta in", "char p m700", "char p m769", "char p m800"],
 )
 def test_text_mass_rows_equal_str_of_the_rows(sub, flags, params):
     code, out, err = _run([sub, "--p", "5", "--f", "2", *flags])
@@ -178,20 +184,29 @@ def test_text_mass_rows_equal_str_of_the_rows(sub, flags, params):
     rows = [line for line in out.splitlines() if line.startswith("  break ")]
     # --max-index n shows the rows of the level of the first n breaks.
     level = b_upper(int(flags[-1]), 5) if params.characteristic else None
-    expected = [
-        f"  break {b} (i = {i}): {str(count)} extensions, "
-        f"contribution {str(c.numerator)}/{str(c.denominator)}"
-        for i, b, count, c in cyclic_mass(params, level).per_break
-    ]
+    with _digit_limit(0):
+        expected = [
+            f"  break {b} (i = {i}): {str(count)} extensions, "
+            f"contribution {str(c.numerator)}/{str(c.denominator)}"
+            for i, b, count, c in cyclic_mass(params, level).per_break
+        ]
     assert rows == expected
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture
 def no_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(limit)
+    with _digit_limit(0):
+        yield
 
 
 def test_digit_column_equals_str_past_10000_digits(no_digit_limit):
@@ -207,6 +222,16 @@ def test_digit_column_equals_str_past_10000_digits(no_digit_limit):
     assert len(str(columns[1][-1])) > 10_000
     for values in columns:
         assert _digit_column(values) == [str(v) for v in values]
+
+
+def test_digit_column_prints_a_chain_past_the_default_limit():
+    # The chain starts below 4300 digits, so its first value goes through str()
+    # under the default limit; the rest are multiples rendered by the twin.
+    values = [7**k for k in range(4000, 6001, 50)]
+    texts = _digit_column(values)
+    with _digit_limit(0):
+        assert len(str(values[-1])) > 5000
+        assert texts == [str(v) for v in values]
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "int key"}])
@@ -415,7 +440,6 @@ def _digit_limit_message():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mass", "--p", "5", "--f", "2", "--char", "p", "--max-index", "770"],
         ["mass", "--p", "5", "--f", "2", "--e", "797", "--zeta", "out"],
         ["report", "--p", "5", "--f", "2", "--e", "800", "--zeta", "in"],
     ],
@@ -484,9 +508,12 @@ def test_usage_error_exits_nonzero(capsys):
 
 
 def test_help_exits_0(capsys):
-    assert _run(["--help"])[0] == 0
-    assert _run(["breaks", "--help"])[0] == 0
-    assert "usage: ramify" in capsys.readouterr().out
+    # The help text goes to run()'s out, not to the real stdout.
+    for argv in (["--help"], ["breaks", "--help"], ["report", "--help"]):
+        code, out, err = _run(argv)
+        assert code == 0 and err == "", argv
+        assert out.startswith("usage: ramify"), argv
+        assert capsys.readouterr() == ("", ""), argv
 
 
 def test_verify_subcommand_passes(monkeypatch):

@@ -309,6 +309,29 @@ class TestHerbrand:
         with pytest.raises(ValueError, match=message):
             HerbrandMap(breakpoints=breakpoints, slopes=slopes)
 
+    def test_int_map_inverts_and_evaluates_exactly(self):
+        psi = HerbrandMap(breakpoints=((0, 0), (1, 1)), slopes=(1, 3))
+        phi = psi.inverse()
+        assert phi.slopes == (1, Fraction(1, 3))
+        assert all(type(s) is Fraction for s in phi.slopes)
+        for x in (Fraction(1, 2), 2, 5):
+            assert type(psi(x)) is Fraction and type(phi(x)) is Fraction
+            assert phi(psi(x)) == x
+        assert phi(5) == Fraction(7, 3)
+
+    @pytest.mark.parametrize(
+        "breakpoints,slopes",
+        [
+            (((0, 0), (1.0, 1)), (1, 3)),
+            (((0, 0), (1, 1)), (1, 3.0)),
+            (((0.0, 0.0),), (1,)),
+            (((0, 0),), (True,)),
+        ],
+    )
+    def test_constructor_refuses_floats_and_other_types(self, breakpoints, slopes):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            HerbrandMap(breakpoints=breakpoints, slopes=slopes)
+
     def test_negative_argument(self):
         psi = herbrand_psi(upper_filtration(Q3))
         with pytest.raises(ValueError, match=r"defined on \[0, oo\) only"):
