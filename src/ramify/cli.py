@@ -20,8 +20,11 @@ import os
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Optional, Sequence
+
+# json.encoder's own C helper, taken from its extension module so that a cold
+# call does not import the json package for it.
+from _json import encode_basestring_ascii
 
 from .breaks import b_upper
 from .filtration import (
@@ -44,33 +47,60 @@ __all__ = ["run", "main"]
 SCHEMA_VERSION = "1"
 
 
-class _Digits(str):
-    """The decimal text of an int, rendered ahead; _json writes it bare."""
+class _Table:
+    """A JSON list of rows of one fixed schema, which _json renders from one row template.
 
-    __slots__ = ()
+    schema holds one (key, kind) pair per field of a row's object, or one
+    (None, kind) pair for a list of bare values. A kind is int for a value
+    written bare, or Fraction for a {"num": ..., "den": ...} block. A row
+    is the tuple of its template's %s slots in order: one per int field, the
+    numerator then the denominator per Fraction field, or the bare value of
+    a one-slot template. A slot holds an int, which %s renders with str()
+    and so with its digit limit, or a text written as it is.
+    """
+
+    __slots__ = ("schema", "rows")
+
+    def __init__(self, schema: tuple[tuple[Optional[str], type], ...], rows: Sequence) -> None:
+        self.schema = schema
+        self.rows = rows
 
 
-class _Ratio:
-    """A rational whose numerator and denominator were rendered ahead as decimal texts."""
+_INTS = ((None, int),)
+_RATIONALS = ((None, Fraction),)
 
-    __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: str, denominator: str) -> None:
-        self.numerator = numerator
-        self.denominator = denominator
+@functools.cache
+def _row_template(schema: tuple[tuple[Optional[str], type], ...], indent: str) -> str:
+    """The %-template of one row of a _Table, for rows written at indent."""
+
+    def slot(kind: type, at: str) -> str:
+        if kind is int:
+            return "%s"
+        inner = at + "  "
+        return f'{{\n{inner}"num": "%s",\n{inner}"den": "%s"\n{at}}}'
+
+    if schema[0][0] is None:
+        return slot(schema[0][1], indent)
+    inner = indent + "  "
+    fields = [
+        encode_basestring_ascii(key).replace("%", "%%") + ": " + slot(kind, inner)
+        for key, kind in schema
+    ]
+    return f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
 
 
 def _json(obj: Any, indent: str = "") -> str:
     """The text of json.dumps(obj, indent=2) for the types our documents hold.
 
     Documents hold dict (with str keys), list, str, int, bool and None, plus
-    three leaf types of the schema: a Fraction or a _Ratio becomes the block
-    {"num": "<decimal>", "den": "<decimal>"}, and a _Digits is written bare,
-    as the JSON number it spells. Anything else, floats and tuples included,
-    raises TypeError. Ints and the terms of a Fraction go through int's own
-    conversion, as in json.dumps, so one past the interpreter's digit limit
-    raises the same ValueError. The stdlib encoder runs in pure Python
-    whenever indent is set; this writer skips its generator machinery.
+    two leaf types of the schema: a Fraction becomes the block
+    {"num": "<decimal>", "den": "<decimal>"}, and a _Table is rendered with
+    one %-template per row and one join. Anything else, floats and tuples
+    included, raises TypeError. Ints and the terms of a Fraction go through
+    int's own conversion, as in json.dumps, so one past the interpreter's
+    digit limit raises the same ValueError. The stdlib encoder runs in pure
+    Python whenever indent is set; this writer skips its generator machinery.
     """
     kind = type(obj)
     if kind is str:
@@ -81,13 +111,15 @@ def _json(obj: Any, indent: str = "") -> str:
         return int.__repr__(obj)
     if obj is None:
         return "null"
+    if kind is Fraction:
+        return _row_template(_RATIONALS, indent) % (obj.numerator, obj.denominator)
     inner = indent + "  "
-    if kind is Fraction or kind is _Ratio:
-        num, den = obj.numerator, obj.denominator
-        return f'{{\n{inner}"num": "{num}",\n{inner}"den": "{den}"\n{indent}}}'
-    if kind is _Digits:
-        return obj
     sep = ",\n" + inner
+    if kind is _Table:
+        if not obj.rows:
+            return "[]"
+        template = _row_template(obj.schema, inner)
+        return f"[\n{inner}{sep.join([template % row for row in obj.rows])}\n{indent}]"
     if kind is list:
         if not obj:
             return "[]"
@@ -180,10 +212,13 @@ def _mass_columns(report: MassReport) -> tuple[list[str], list[str], list[str]]:
 
 def _mass_doc(report: MassReport) -> dict[str, Any]:
     return {
-        "per_break": [
-            {"i": i, "b_upper": b, "count": _Digits(count), "contribution": _Ratio(num, den)}
-            for (i, b, _, _), count, num, den in zip(report.per_break, *_mass_columns(report))
-        ],
+        "per_break": _Table(
+            (("i", int), ("b_upper", int), ("count", int), ("contribution", Fraction)),
+            [
+                (i, b, count, num, den)
+                for (i, b, _, _), count, num, den in zip(report.per_break, *_mass_columns(report))
+            ],
+        ),
         "tres_ramifiee": (
             None
             if report.tres_ramifiee is None
@@ -208,15 +243,24 @@ def _space_doc(space, label: str) -> dict[str, Any]:
     return {
         "label": label,
         "total_dim": space.total_dim,
-        "jumps": [{"index": j, "codim": c} for j, c in reversed(space.jumps)],
+        "jumps": _Table((("index", int), ("codim", int)), space.jumps[::-1]),
     }
 
 
 def _herbrand_doc(m: HerbrandMap) -> dict[str, Any]:
     return {
-        "breakpoints": [{"x": x, "y": y} for x, y in m.breakpoints],
-        "slopes": list(m.slopes),
+        "breakpoints": _Table(
+            (("x", Fraction), ("y", Fraction)),
+            [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in m.breakpoints],
+        ),
+        "slopes": _Table(_RATIONALS, [(s.numerator, s.denominator) for s in m.slopes]),
     }
+
+
+def _index_table_doc(table: list[tuple[int, Optional[int], int]]) -> _Table:
+    """The index table's rows; the last one's open end hi = None is written null."""
+    *bounded, (lo, _, index) = table
+    return _Table((("lo", int), ("hi", int), ("index", int)), [*bounded, (lo, "null", index)])
 
 
 def _parse_params(args: argparse.Namespace) -> FieldParams:
@@ -264,14 +308,10 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "params": _params_doc(params),
-            "upper_breaks": list(upper.locations),
-            "lower_breaks": list(lower.locations) if lower is not None else None,
-            "codimensions": list(upper.codims),
-            "index_table": (
-                None
-                if table is None
-                else [{"lo": lo, "hi": hi, "index": idx} for lo, hi, idx in table]
-            ),
+            "upper_breaks": _Table(_INTS, upper.locations),
+            "lower_breaks": _Table(_INTS, lower.locations) if lower is not None else None,
+            "codimensions": _Table(_INTS, upper.codims),
+            "index_table": None if table is None else _index_table_doc(table),
             "different_exponent": different,
             "discriminant_exponent": discriminant,
             "v_space": _space_doc(space, label),
@@ -338,9 +378,7 @@ def _cmd_breaks(args: argparse.Namespace) -> list[str]:
             "schema_version": SCHEMA_VERSION,
             "p": args.p,
             "q": q,
-            "rows": [
-                {"i": i, "a": a, "b_upper": bu, "b_lower": bl} for i, a, bu, bl in rows
-            ],
+            "rows": _Table((("i", int), ("a", int), ("b_upper", int), ("b_lower", int)), rows),
         }
         return [_json(doc)]
     lines = [f"break table for p = {args.p}, q = {q}", "    i    a(i)    b_upper    b_lower"]

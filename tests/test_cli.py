@@ -14,7 +14,7 @@ import pytest
 import ramify.cli
 import ramify.verify
 from ramify.breaks import b_upper
-from ramify.cli import _build_parser, _digit_column, _json, run
+from ramify.cli import _build_parser, _digit_column, _json, _Table, run
 from ramify.filtration import FieldParams
 from ramify.mass import cyclic_mass
 
@@ -159,6 +159,60 @@ def test_json_writer_matches_stdlib_on_documents(argv):
 )
 def test_json_writer_matches_stdlib_on_hand_made_documents(doc):
     assert _json(doc) == json.dumps(doc, indent=2)
+
+
+def _table_and_plain(schema, values):
+    """A _Table of rows of ints and Fractions, and the lists and dicts that
+    json.dumps writes for it: each Fraction as a {"num", "den"} block."""
+    rows, plain = [], []
+    for row in values:
+        slots, fields = [], []
+        for (_, kind), v in zip(schema, row):
+            if kind is Fraction:
+                slots += [v.numerator, v.denominator]
+                fields.append({"num": str(v.numerator), "den": str(v.denominator)})
+            else:
+                slots.append(v)
+                fields.append(v)
+        rows.append(tuple(slots) if len(slots) > 1 else slots[0])
+        keys = [key for key, _ in schema]
+        plain.append(fields[0] if keys == [None] else dict(zip(keys, fields)))
+    return _Table(schema, rows), plain
+
+
+TABLES = {
+    "empty": ((("x", int),), []),
+    "empty bare": (((None, Fraction),), []),
+    "bare ints": (((None, int),), [(-1,), (0,), (-(10**40),), (7,)]),
+    "bare rationals": (((None, Fraction),), [(Fraction(3),), (Fraction(-5, 7),), (Fraction(0),)]),
+    "rows": (
+        (("i", int), ("x", Fraction), ("y", Fraction)),
+        [(1, Fraction(1), Fraction(-2, 3)), (-2, Fraction(-4), Fraction(10**30, 7))],
+    ),
+    "one int field": ((('key "%s"', int),), [(-5,), (6,)]),
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda t: t, lambda t: {"a": t}, lambda t: [[t, 1]], lambda t: {"a": {"b": [t]}, "c": t}],
+    ids=["top", "depth 1", "depth 2", "depth 3"],
+)
+def test_table_leaf_matches_stdlib(name, wrap):
+    table, plain = _table_and_plain(*TABLES[name])
+    assert _json(wrap(table)) == json.dumps(wrap(plain), indent=2)
+
+
+@pytest.mark.parametrize("schema,row", [(((None, int),), 10**5000),
+                                        ((("x", Fraction),), (1, 10**5000))],
+                         ids=["int", "block"])
+def test_table_leaf_keeps_the_digit_limit_error(schema, row):
+    with pytest.raises(ValueError) as stdlib:
+        json.dumps([10**5000], indent=2)
+    with pytest.raises(ValueError) as ours:
+        _json({"t": _Table(schema, [row])})
+    assert str(ours.value) == str(stdlib.value)
 
 
 @pytest.mark.parametrize("sub", ["report", "mass"])
@@ -574,6 +628,19 @@ def test_cli_import_leaves_the_verify_battery_unloaded():
         "herbrand": [],
         "mass": ["ramify.mass"],
     }
+
+
+def test_cli_import_leaves_the_json_package_unloaded():
+    # The writer takes encode_basestring_ascii from the C module _json.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ramify.cli; print([m for m in sys.modules if m.split('.')[0] == 'json'])"],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 @pytest.mark.parametrize("module", ["ramify", "ramify.cli"])

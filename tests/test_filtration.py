@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from ramify.filtration import (
     space_model,
     upper_filtration,
 )
+from ramify.verify import _char0_grid
 
 Q3 = FieldParams(p=3, f=1, e=1, zeta_in_field=False)
 Q2 = FieldParams(p=2, f=1, e=1, zeta_in_field=True)
@@ -303,6 +305,8 @@ class TestHerbrand:
             (((Fraction(0), Fraction(0)),), (), "one slope per segment"),
             (((Fraction(0), Fraction(0)),), (Fraction(0),), "slopes must be positive"),
             (((Fraction(0), Fraction(0)),), (Fraction(-1),), "slopes must be positive"),
+            (((0, 0), (1, 1, 5)), (1, 2), r"an \(x, y\) pair"),
+            (((0, 0), (1,)), (1, 2), r"an \(x, y\) pair"),
         ],
     )
     def test_constructor_errors(self, breakpoints, slopes, message):
@@ -344,6 +348,54 @@ class TestHerbrand:
                     breakpoints=tuple((Fraction(x), Fraction(x)) for x in xs),
                     slopes=(Fraction(1),) * 3,
                 )
+
+    def test_breakpoint_y_must_strictly_increase(self):
+        # x increases in each case; only y stalls or falls.
+        for ys in ((0, 2, 1), (0, 1, 1), (0, 0, 1)):
+            with pytest.raises(ValueError, match="strictly increase"):
+                HerbrandMap(
+                    breakpoints=tuple(zip((0, 1, 2), map(Fraction, ys))),
+                    slopes=(Fraction(1),) * 3,
+                )
+
+    def test_inverse_equals_the_checked_swapped_map(self):
+        grid_maps = [
+            transition(up)
+            for up in map(upper_filtration, _char0_grid())
+            for transition in (herbrand_psi, lambda up: herbrand_phi(lower_filtration(up)))
+        ]
+        int_maps = [
+            HerbrandMap(breakpoints=((0, 0),), slopes=(1,)),
+            HerbrandMap(breakpoints=((0, 0), (1, 1)), slopes=(1, 3)),
+            HerbrandMap(breakpoints=((0, 0), (2, 4), (5, 13)), slopes=(2, 3, 25)),
+            HerbrandMap(breakpoints=((0, 0), (3, Fraction(3, 2))), slopes=(Fraction(1, 2), 7)),
+        ]
+        for m in grid_maps + int_maps:
+            inverse = m.inverse()
+            checked = HerbrandMap(
+                breakpoints=tuple((y, x) for x, y in m.breakpoints),
+                slopes=tuple(1 / Fraction(s) for s in m.slopes),
+            )
+            assert inverse == checked
+            assert inverse.inverse() == m
+            assert all(type(s) is Fraction for s in inverse.slopes)
+
+    def test_inverse_runs_no_fraction_comparison(self, monkeypatch):
+        psi = herbrand_psi(upper_filtration(FieldParams(p=5, f=2, e=40, zeta_in_field=True)))
+
+        def refuse(*args):
+            raise AssertionError("Fraction comparison")
+
+        monkeypatch.setattr(Fraction, "_richcmp", refuse)
+        assert psi.inverse().breakpoints[-1] == psi.breakpoints[-1][::-1]
+
+    @pytest.mark.parametrize("x", [0.1, 2.0, "7/2", True, False, None, Decimal(1)], ids=repr)
+    def test_evaluation_refuses_inexact_arguments(self, x):
+        psi = herbrand_psi(upper_filtration(FieldParams(p=3, f=1, e=2, zeta_in_field=False)))
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            psi(x)
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            psi.inverse()(x)
 
 
 def _transition_reference(filtration, sign):
@@ -570,6 +622,15 @@ class TestOrthogonality:
         assert orthogonal_index(Fraction(4), P321Z) == 0
         assert orthogonal_index(Fraction(1, 2), CHAR3) == 0
         assert orthogonal_index(Fraction(9), CHAR3) == -8
+
+    @pytest.mark.parametrize("u", [0.5, 2.0, "1", True, Decimal(1)], ids=repr)
+    def test_refuses_inexact_arguments(self, u):
+        with pytest.raises(TypeError, match="an int or a Fraction"):
+            orthogonal_index(u, P321)
+
+    def test_int_argument_equals_its_fraction(self):
+        for u in range(0, 6):
+            assert orthogonal_index(u, P321) == orthogonal_index(Fraction(u), P321)
 
     def test_complementarity_at_every_quarter_step(self):
         # The index is total on u > -1: the annihilator's dimension always
