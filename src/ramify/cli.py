@@ -7,6 +7,14 @@ stable schema (schema_version "1") with rationals as
 {"num": "<decimal>", "den": "<decimal>"} so consumers never need bignum
 JSON numbers for exact values.
 
+The commands print the ints that the package's walks compute: herbrand,
+report and breaks read index_table and lower_filtration, so no HerbrandMap
+is built to be printed, and report and mass read the int rows of the mass
+walk. Each big column of those ints (psi's values, the indices, the mass
+counts and denominators) prints through one chain renderer, _Digits, in
+time linear in its digits and past the interpreter's digit limit. Every
+other number goes through str() and keeps the limit.
+
 Exit codes: 0 success (--help too), 1 invalid parameters or a usage error
 (one-line diagnostic on stderr), 2 verification failure.
 """
@@ -20,7 +28,8 @@ import os
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from itertools import zip_longest
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 # json.encoder's own C helper, taken from its extension module so that a cold
 # call does not import the json package for it.
@@ -29,18 +38,14 @@ from _json import encode_basestring_ascii
 from .breaks import b_upper
 from .filtration import (
     FieldParams,
-    HerbrandMap,
+    RamificationFiltration,
     discriminant_exponent,
-    herbrand_psi,
     index_table,
     lower_filtration,
     space_model,
     upper_filtration,
 )
 from .rationals import decimal_string
-
-if TYPE_CHECKING:
-    from .mass import MassReport
 
 __all__ = ["run", "main"]
 
@@ -56,12 +61,14 @@ class _Table:
     is the tuple of its template's %s slots in order: one per int field, the
     numerator then the denominator per Fraction field, or the bare value of
     a one-slot template. A slot holds an int, which %s renders with str()
-    and so with its digit limit, or a text written as it is.
+    and so with its digit limit, or a text written as it is. rows is any
+    iterable, read once when the table is rendered: from a generator, the
+    texts of a row live only until the row is formatted.
     """
 
     __slots__ = ("schema", "rows")
 
-    def __init__(self, schema: tuple[tuple[Optional[str], type], ...], rows: Sequence) -> None:
+    def __init__(self, schema: tuple[tuple[Optional[str], type], ...], rows: Iterable) -> None:
         self.schema = schema
         self.rows = rows
 
@@ -116,10 +123,9 @@ def _json(obj: Any, indent: str = "") -> str:
     inner = indent + "  "
     sep = ",\n" + inner
     if kind is _Table:
-        if not obj.rows:
-            return "[]"
         template = _row_template(obj.schema, inner)
-        return f"[\n{inner}{sep.join([template % row for row in obj.rows])}\n{indent}]"
+        rows = [template % row for row in obj.rows]
+        return f"[\n{inner}{sep.join(rows)}\n{indent}]" if rows else "[]"
     if kind is list:
         if not obj:
             return "[]"
@@ -143,31 +149,90 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 _TWIN_BITS = 1000
 
 
-def _digit_column(values: Sequence[int]) -> list[str]:
-    """str(v) for each v, in time linear in the digits along chains of small factors.
+class _Digits:
+    """One column of ints, printed in turn as str() would, in time linear in
+    the digits along chains.
 
     str(int) is quadratic in the digits on CPython 3.11; str(Decimal) is
-    linear. Once a value passes _TWIN_BITS, it gets an exact Decimal twin.
-    While each next v is the value before it times a positive int, the twin
-    is multiplied by that quotient (a divmod with a small quotient is linear
-    too) and printed, however many digits it has. Any other v goes through
-    str(), and so keeps the interpreter's digit limit.
+    linear. A value past _TWIN_BITS gets an exact Decimal twin. The next
+    value past _TWIN_BITS takes its twin from the one before when an exact
+    int check shows that it follows one of two rules:
+
+    * v = prev * m for an int m, as along the index and mass columns. The
+      twin is multiplied by m; a divmod with a small quotient is linear too.
+    * v = prev + run * slope.prev, where slope is the column of a
+      piecewise-linear map's slopes and holds a twin: the map's next value,
+      as along psi's y column. The twin gains run times the slope's twin.
+
+    Any other value goes through str(), and so keeps the interpreter's
+    digit limit. Only the last value and its twin are kept.
     """
-    texts = []
-    prev = twin = None
-    for v in values:
-        if twin is not None:
-            step, rest = divmod(v, prev)
-            if rest == 0 and step > 0:
-                twin = _EXACT.multiply(twin, step)
-                texts.append(str(twin))
-                prev = v
-                continue
-        text = str(v)
-        twin = Decimal(text) if v.bit_length() > _TWIN_BITS else None
-        texts.append(text)
-        prev = v
-    return texts
+
+    __slots__ = ("prev", "twin")
+
+    def __init__(self) -> None:
+        self.prev: Optional[int] = None
+        self.twin: Optional[Decimal] = None
+
+    def advance(self, v: int, run: int = 0, slope: Optional[_Digits] = None) -> None:
+        """Move the column to v; the second rule reads run and slope."""
+        twin = None
+        if v.bit_length() > _TWIN_BITS:
+            prev, last = self.prev, self.twin
+            if last is not None and slope is None:
+                step, rest = divmod(v, prev)
+                if rest == 0:
+                    twin = _EXACT.multiply(last, step)
+            elif last is not None and slope.twin is not None and v == prev + run * slope.prev:
+                twin = _EXACT.add(last, _EXACT.multiply(run, slope.twin))
+            if twin is None:
+                twin = Decimal(str(v))
+        self.prev, self.twin = v, twin
+
+    def text(self) -> str:
+        """str() of the value the column is at."""
+        return str(self.prev if self.twin is None else self.twin)
+
+    def __call__(self, v: int, run: int = 0, slope: Optional[_Digits] = None) -> str:
+        """Move the column to v and return its text."""
+        if v.bit_length() <= _TWIN_BITS:  # the common case, in one call
+            self.prev, self.twin = v, None
+            return str(v)
+        self.advance(v, run, slope)
+        return str(self.twin)
+
+
+def _psi_rows(
+    upper: RamificationFiltration,
+) -> Iterator[tuple[Optional[int], Optional[str], _Digits]]:
+    """psi's breakpoints past (0, 0) and its slopes, read from the package's one walk.
+
+    Per row (lo, hi, index) of index_table(upper) it yields (hi, text of
+    psi(hi), slopes). psi(hi) is the positive location of
+    lower_filtration(upper) at that row's end; on the last row, where hi is
+    None, its text is None. slopes is the column of psi's slopes, moved to
+    the row's index; a caller that prints the index calls slopes.text().
+    """
+    table = index_table(upper)
+    lower = [loc for loc in lower_filtration(upper).locations if loc > 0]
+    ys, slopes = _Digits(), _Digits()
+    for (lo, hi, index), y in zip_longest(table, lower):
+        slopes.advance(index)
+        yield hi, None if hi is None else ys(y, hi - lo, slopes), slopes
+
+
+def _lower_texts(upper: RamificationFiltration) -> Iterator[str]:
+    """Texts of the locations of lower_filtration(upper), in order: the jumps
+    at locations <= 0, which psi leaves in place, then psi's positive values."""
+    yield from (str(loc) for loc, _ in upper.jumps if loc <= 0)
+    yield from (y for hi, y, _ in _psi_rows(upper) if hi is not None)
+
+
+def _index_rows(upper: RamificationFiltration) -> Iterator[tuple[int, Optional[int], str]]:
+    """The rows (lo, hi, index) of index_table(upper), each index as its text."""
+    column = _Digits()
+    for lo, hi, index in index_table(upper):
+        yield lo, hi, column(index)
 
 
 def _params_doc(params: FieldParams) -> dict[str, Any]:
@@ -196,40 +261,56 @@ def _params_text(params: FieldParams) -> list[str]:
     ]
 
 
-def _mass_columns(report: MassReport) -> tuple[list[str], list[str], list[str]]:
-    """Decimal texts of the per-break counts, numerators and denominators.
+_MASS_ROW = (("i", int), ("b_upper", int), ("count", int), ("contribution", Fraction))
+
+
+def _ratio(n: int, den: int) -> tuple[int, int]:
+    """The CLI's weight for the mass walk: the contribution n/den as its two ints."""
+    return n, den
+
+
+_MassRows = list[tuple[int, int, int, tuple[int, int]]]
+
+
+def _mass_rows(rows: _MassRows) -> Iterator[tuple[int, int, str, str, str]]:
+    """The mass walk's rows (i, b, count, (n, den)) as (i, b, count, n, den), the ints as texts.
 
     Row to row the count grows by q and the contribution's denominator by a
-    small power of q, so _digit_column renders each column in linear time.
+    small power of q, so each column is a chain of the first rule of _Digits.
     """
-    rows = report.per_break
-    return (
-        _digit_column([row[2] for row in rows]),
-        _digit_column([row[3].numerator for row in rows]),
-        _digit_column([row[3].denominator for row in rows]),
-    )
+    counts, nums, dens = _Digits(), _Digits(), _Digits()
+    for i, b, count, (n, den) in rows:
+        yield i, b, counts(count), nums(n), dens(den)
 
 
-def _mass_doc(report: MassReport) -> dict[str, Any]:
+def _mass_doc(
+    params: FieldParams, rows: _MassRows, tres: Optional[tuple], total: Fraction
+) -> dict[str, Any]:
     return {
-        "per_break": _Table(
-            (("i", int), ("b_upper", int), ("count", int), ("contribution", Fraction)),
-            [
-                (i, b, count, num, den)
-                for (i, b, _, _), count, num, den in zip(report.per_break, *_mass_columns(report))
-            ],
-        ),
+        "per_break": _Table(_MASS_ROW, _mass_rows(rows)),
         "tres_ramifiee": (
-            None
-            if report.tres_ramifiee is None
-            else {
-                "count": report.tres_ramifiee[0],
-                "contribution": report.tres_ramifiee[1],
-            }
+            None if tres is None else {"count": tres[0], "contribution": Fraction(*tres[1])}
         ),
-        "total": report.total,
-        "fraction_of_serre_total": report.fraction_of_serre_total,
+        "total": total,
+        "fraction_of_serre_total": total / params.p,
     }
+
+
+def _mass_text(
+    params: FieldParams, rows: _MassRows, tres: Optional[tuple], total: Fraction
+) -> list[str]:
+    lines = ["cyclic mass"]
+    lines += [
+        f"  break {b} (i = {i}): {count} extensions, contribution {n}/{den}"
+        for i, b, count, n, den in _mass_rows(rows)
+    ]
+    if tres is not None:
+        count, (n, den) = tres
+        lines.append(f"  deepest break: {count} extensions, contribution {n}/{den}")
+    note = " (exact value of the full series)" if params.characteristic != 0 else ""
+    lines.append(f"  total = {_rat_text(total)} ~ {decimal_string(total)}{note}")
+    lines.append(f"  fraction of degree-p total: {_rat_text(total / params.p)}")
+    return lines
 
 
 def _space_label(params: FieldParams) -> str:
@@ -247,20 +328,10 @@ def _space_doc(space, label: str) -> dict[str, Any]:
     }
 
 
-def _herbrand_doc(m: HerbrandMap) -> dict[str, Any]:
-    return {
-        "breakpoints": _Table(
-            (("x", Fraction), ("y", Fraction)),
-            [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in m.breakpoints],
-        ),
-        "slopes": _Table(_RATIONALS, [(s.numerator, s.denominator) for s in m.slopes]),
-    }
-
-
-def _index_table_doc(table: list[tuple[int, Optional[int], int]]) -> _Table:
+def _index_table_doc(rows: Iterable[tuple[int, Optional[int], str]]) -> _Table:
     """The index table's rows; the last one's open end hi = None is written null."""
-    *bounded, (lo, _, index) = table
-    return _Table((("lo", int), ("hi", int), ("index", int)), [*bounded, (lo, "null", index)])
+    rows = ((lo, "null" if hi is None else hi, index) for lo, hi, index in rows)
+    return _Table((("lo", int), ("hi", int), ("index", int)), rows)
 
 
 def _parse_params(args: argparse.Namespace) -> FieldParams:
@@ -286,7 +357,7 @@ def _shown_level(params: FieldParams, n: int) -> Optional[int]:
 
 
 def _cmd_report(args: argparse.Namespace) -> list[str]:
-    from .mass import cyclic_mass  # imported here, as verify is, so breaks and herbrand skip it
+    from .mass import _mass_walk  # imported here, as verify is, so breaks and herbrand skip it
 
     params = _parse_params(args)
     char_p = params.characteristic != 0
@@ -294,35 +365,37 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
     # that level, or else at the level shown by --max-index.
     shown = _shown_level(params, args.max_index)
     upper = upper_filtration(params, shown)
+    # The lower breaks, the index table and the mass rows are generators, read
+    # as their sections render, so only one section's texts live at a time.
     if char_p:
-        lower = None if args.m is None else lower_filtration(upper_filtration(params, args.m))
+        lower = None if args.m is None else _lower_texts(upper_filtration(params, args.m))
     else:
-        lower = lower_filtration(upper)
+        lower = _lower_texts(upper)
+    table = _index_rows(upper) if params.regular else None
     space = space_model(params, args.m if args.m is not None else shown)
     label = _space_label(params)
-    table = index_table(upper) if params.regular else None
     discriminant = discriminant_exponent(upper) if params.regular else None
     different = None if discriminant is None else discriminant // params.p  # residue degree p
-    report = cyclic_mass(params, shown)
+    mass = _mass_walk(params, shown, _ratio)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "params": _params_doc(params),
             "upper_breaks": _Table(_INTS, upper.locations),
-            "lower_breaks": _Table(_INTS, lower.locations) if lower is not None else None,
+            "lower_breaks": _Table(_INTS, lower) if lower is not None else None,
             "codimensions": _Table(_INTS, upper.codims),
             "index_table": None if table is None else _index_table_doc(table),
             "different_exponent": different,
             "discriminant_exponent": discriminant,
             "v_space": _space_doc(space, label),
-            "mass": _mass_doc(report),
+            "mass": _mass_doc(params, *mass),
         }
         return [_json(doc)]
     lines = _params_text(params)
     trunc = " (truncated)" if char_p else ""
     lines.append(f"upper breaks{trunc}: {', '.join(str(x) for x in upper.locations)}")
     if lower is not None:
-        lines.append(f"lower breaks: {', '.join(str(x) for x in lower.locations)}")
+        lines.append("lower breaks: " + ", ".join(lower))
     else:
         lines.append("lower breaks: (pass --m to pick a finite quotient)")
     lines.append(f"codimensions: {', '.join(str(c) for c in upper.codims)}")
@@ -342,21 +415,7 @@ def _cmd_report(args: argparse.Namespace) -> list[str]:
     # Both formats list the space's jumps deepest index first.
     jumps = ", ".join(f"{j}:{c}" for j, c in reversed(space.jumps))
     lines.append(f"space model {label} (dim {space.total_dim}) jumps index:codim = {jumps}")
-    return lines + _mass_text(report)
-
-
-def _mass_text(report: MassReport) -> list[str]:
-    lines = ["cyclic mass"]
-    for (i, b, _, _), count, num, den in zip(report.per_break, *_mass_columns(report)):
-        lines.append(f"  break {b} (i = {i}): {count} extensions, contribution {num}/{den}")
-    if report.tres_ramifiee is not None:
-        count, contribution = report.tres_ramifiee
-        lines.append(f"  deepest break: {count} extensions, contribution {_rat_text(contribution)}")
-    char_p = report.params.characteristic != 0
-    note = " (exact value of the full series)" if char_p else ""
-    lines.append(f"  total = {_rat_text(report.total)} ~ {decimal_string(report.total)}{note}")
-    lines.append(f"  fraction of degree-p total: {_rat_text(report.fraction_of_serre_total)}")
-    return lines
+    return lines + _mass_text(params, *mass)
 
 
 def _cmd_breaks(args: argparse.Namespace) -> list[str]:
@@ -366,13 +425,9 @@ def _cmd_breaks(args: argparse.Namespace) -> list[str]:
     params = FieldParams(p=args.p, f=args.f, characteristic=args.p)
     q = params.q
     # c(b_upper(n)) = n, so the quotient at level b_upper(count) holds the
-    # first count breaks; its jumps past the unramified one are the rows.
+    # first count breaks: the ends of the bounded rows of its index table.
     upper = upper_filtration(params, _shown_level(params, count))
-    lower = lower_filtration(upper)
-    rows = [
-        (i, b - i, b, bl)
-        for i, (b, bl) in enumerate(zip(upper.locations[1:], lower.locations[1:]), 1)
-    ]
+    rows = ((i, b - i, b, bl) for i, (b, bl, _) in enumerate(_psi_rows(upper), 1) if b is not None)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -386,41 +441,58 @@ def _cmd_breaks(args: argparse.Namespace) -> list[str]:
     return lines
 
 
+_POINTS = (("x", Fraction), ("y", Fraction))
+
+
 def _cmd_herbrand(args: argparse.Namespace) -> list[str]:
     params = _parse_params(args)
     if params.characteristic != 0 and args.m is None:
         raise ValueError("characteristic p needs --m to pick a finite quotient")
-    psi = herbrand_psi(upper_filtration(params, args.m))
-    phi = psi.inverse()
+    # psi's breakpoints (x, y) and slopes s, one text each; phi is psi with
+    # each breakpoint swapped and each slope inverted.
+    points, slopes = [("0", "0")], []
+    for hi, y, column in _psi_rows(upper_filtration(params, args.m)):
+        slopes.append(column.text())
+        if hi is not None:
+            points.append((str(hi), y))
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "params": _params_doc(params),
-            "psi": _herbrand_doc(psi),
-            "phi": _herbrand_doc(phi),
+            "psi": {
+                "breakpoints": _Table(_POINTS, ((x, 1, y, 1) for x, y in points)),
+                "slopes": _Table(_RATIONALS, ((s, 1) for s in slopes)),
+            },
+            "phi": {
+                "breakpoints": _Table(_POINTS, ((y, 1, x, 1) for x, y in points)),
+                "slopes": _Table(_RATIONALS, ((1, s) for s in slopes)),
+            },
         }
         return [_json(doc)]
-    lines = []
-    for name, m in (("psi (upper -> lower)", psi), ("phi (lower -> upper)", phi)):
-        pts = ", ".join(f"({x}, {y})" for x, y in m.breakpoints)
-        slopes = ", ".join(str(s) for s in m.slopes)
-        lines += [name, f"  breakpoints: {pts}", f"  slopes: {slopes}"]
-    return lines
+    return [
+        "psi (upper -> lower)",
+        "  breakpoints: " + ", ".join([f"({x}, {y})" for x, y in points]),
+        "  slopes: " + ", ".join(slopes),
+        "phi (lower -> upper)",
+        "  breakpoints: " + ", ".join([f"({y}, {x})" for x, y in points]),
+        # Every index is a positive int, and 1/1 prints as 1.
+        "  slopes: " + ", ".join([s if s == "1" else "1/" + s for s in slopes]),
+    ]
 
 
 def _cmd_mass(args: argparse.Namespace) -> list[str]:
-    from .mass import cyclic_mass
+    from .mass import _mass_walk
 
     params = _parse_params(args)
-    report = cyclic_mass(params, _shown_level(params, args.max_index))
+    mass = _mass_walk(params, _shown_level(params, args.max_index), _ratio)
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "params": _params_doc(params),
-            "mass": _mass_doc(report),
+            "mass": _mass_doc(params, *mass),
         }
         return [_json(doc)]
-    return _mass_text(report)
+    return _mass_text(params, *mass)
 
 
 def _cmd_verify(out) -> int:

@@ -303,8 +303,11 @@ class HerbrandMap(_Record):
     by construction, so inverse() builds it without the checks.
 
     The interior slopes restate the breakpoints, and nothing cross-checks
-    the two; evaluation reads the stored slopes. They are stored anyway,
-    since the herbrand command prints them for two maps.
+    the two. They are stored anyway: the last one, the slope of the final
+    ray, is not fixed by the breakpoints; evaluation reads a segment's
+    slope with no division; and == compares them, so the check of
+    herbrand_phi(lower) against herbrand_psi(upper).inverse() covers the
+    slopes of both routes.
     """
 
     __slots__ = ("breakpoints", "slopes")
@@ -401,7 +404,8 @@ def index_table(upper: RamificationFiltration) -> list[tuple[int, Optional[int],
     `index` in the inertia group; hi = None on the final unbounded row. The
     first row starts at 0 and the index there is 1. The rows are the
     segments and slopes of herbrand_psi(upper), in every regime: the package's
-    one walk of psi, which lower_filtration and herbrand_psi read.
+    one walk of psi, which lower_filtration and herbrand_psi read and whose
+    ints the CLI prints.
     """
     if upper.numbering != "upper":
         raise ValueError(

@@ -12,16 +12,19 @@ the jumps of the upper filtration of module filtration, in all three regimes:
 * characteristic p: an infinite sum over all break indices with closed form
   series_value; the level-m quotient lists its first terms.
 
-cyclic_mass is that closed form. It is paired with brute_force_mass, an
-independent oracle that walks the lines of filtration.space_model by their
-nonzero jump blocks and adds q^{-c} per line.
+cyclic_mass is that closed form. Its rows come from one walk of int rows,
+_mass_walk, with two readers: cyclic_mass turns each row's contribution
+into a Fraction, and the CLI prints the ints. It is paired with
+brute_force_mass, an independent oracle that walks the lines of
+filtration.space_model by their nonzero jump blocks and adds q^{-c} per
+line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .breaks import _check_prime, _check_q
 from .filtration import (
@@ -126,12 +129,27 @@ def cyclic_mass(params: FieldParams, level: Optional[int] = None) -> MassReport:
     characteristic-0 total sums every jump; the characteristic-p total is
     the whole series, (p/q) * ((q-1)/(p-1)) * series_value(p, q).
     """
+    rows, tres, total = _mass_walk(params, level, Fraction)
+    return MassReport(params=params, per_break=tuple(rows), tres_ramifiee=tres, total=total)
+
+
+def _mass_walk(
+    params: FieldParams, level: Optional[int], weigh: Callable[[int, int], Any]
+) -> tuple[list[tuple], Optional[tuple], Fraction]:
+    """The rows of cyclic_mass, its tres ramifiee term and its total.
+
+    A row is (i, b, count, weigh(n, den)) and the tres ramifiee term
+    (count, weigh(n, den)), for the contribution n/den; the term is None
+    without zeta in F. n/den is in lowest terms: den is a power of p and
+    n = (p^codim - 1)/(p - 1) is 1 mod p. cyclic_mass weighs with Fraction;
+    the CLI keeps the ints and prints them.
+    """
     upper = upper_filtration(params, level)
     p, f, q = params.p, params.f, params.q
-    # Divided by p^lo, a row is n / p^k with n = (p^codim - 1)/(p - 1) prime
-    # to p and k = f*c - lo, so no row needs a big gcd. p^lo, the denominator
-    # p^k and the Horner sum acc = sum_j n_j p^{k - k_j} each grow by one
-    # small power per jump, so the sum over all jumps is acc / p^k.
+    # Divided by p^lo, a row is n / p^k with k = f*c - lo, so no row needs a
+    # big gcd. p^lo, the denominator p^k and the Horner sum
+    # acc = sum_j n_j p^{k - k_j} each grow by one small power per jump, so
+    # the sum over all jumps is acc / p^k.
     (_, lo), *ramified = upper.jumps  # the unramified jump carries no mass
     below, den, acc, k = p**lo, 1, 0, 0
     rows = []
@@ -142,7 +160,7 @@ def cyclic_mass(params: FieldParams, level: Optional[int] = None) -> MassReport:
         den *= step
         acc = acc * step + n
         k = k_next
-        rows.append((i, b, below * n, Fraction(n, den)))
+        rows.append((i, b, below * n, weigh(n, den)))
         below *= p**codim
         lo += codim
     tres = None
@@ -152,7 +170,7 @@ def cyclic_mass(params: FieldParams, level: Optional[int] = None) -> MassReport:
         total = Fraction(acc, den)
         if params.zeta_in_field:
             tres = rows.pop()[2:]
-    return MassReport(params=params, per_break=tuple(rows), tres_ramifiee=tres, total=total)
+    return rows, tres, total
 
 
 def _check_odd_prime(p: int) -> None:

@@ -8,8 +8,13 @@ The only ops allowed to fail are those past the interpreter's 4300-digit
 limit for int-to-str conversion: `report` and `mass` at p = 5, f = 2 with
 e >= 769, where the total or its fraction of Serre's total has a
 denominator past 4300 digits.
+
+The seed-1 report_scaling ops also pin the bytes: the stdout of every op
+that exits 0 must hash to the digest recorded before the CLI printed its
+big columns from the walks' ints, when it printed str() of every value.
 """
 
+import hashlib
 import pathlib
 import sys
 
@@ -37,19 +42,31 @@ def _past_digit_limit(argv):
     return _near_digit_limit(argv, 769) and "--e" in argv
 
 
+# sha1 over the stdout of each seed-1 report_scaling op that exits 0, in op order.
+SEED_1_STDOUT_SHA1 = "082ed58920990fc8d3d863cfb1089ea0b9bb8a08"
+
+
 def _assert_fail_only_past_the_digit_limit(scaling, ops):
+    """Run the ops through the benchmark's checker; return the sha1 of the
+    stdout of those that exit 0, in op order."""
     failed = {}
+    digest = hashlib.sha1()
     for argv in ops:
-        failure = scaling.check(argv, scaling.execute(argv, None))
+        result = scaling.execute(argv, None)
+        failure = scaling.check(argv, result)
         if failure is not None:
             failed[tuple(argv)] = failure
+        if result[0] == 0:
+            digest.update(result[1].encode())
     assert sorted(failed) == sorted(tuple(argv) for argv in ops if _past_digit_limit(argv))
     assert all(kind == "error" and "Exceeds the limit" in reason for kind, reason in failed.values())
+    return digest.hexdigest()
 
 
 def test_report_scaling_fails_only_past_the_digit_limit():
     scaling = workloads.ReportScaling()
-    _assert_fail_only_past_the_digit_limit(scaling, scaling.make_ops(1))
+    digest = _assert_fail_only_past_the_digit_limit(scaling, scaling.make_ops(1))
+    assert digest == SEED_1_STDOUT_SHA1
 
 
 def test_report_scaling_near_the_digit_limit_fails_only_in_characteristic_0():

@@ -13,10 +13,27 @@ import pytest
 
 import ramify.cli
 import ramify.verify
-from ramify.breaks import b_upper
-from ramify.cli import _build_parser, _digit_column, _json, _Table, run
-from ramify.filtration import FieldParams
+from ramify.breaks import b_lower, b_upper
+from ramify.cli import (
+    _build_parser,
+    _Digits,
+    _index_rows,
+    _json,
+    _lower_texts,
+    _psi_rows,
+    _Table,
+    _TWIN_BITS,
+    run,
+)
+from ramify.filtration import (
+    FieldParams,
+    herbrand_psi,
+    index_table,
+    lower_filtration,
+    upper_filtration,
+)
 from ramify.mass import cyclic_mass
+from ramify.verify import _char0_grid
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -275,17 +292,151 @@ def test_digit_column_equals_str_past_10000_digits(no_digit_limit):
     ]
     assert len(str(columns[1][-1])) > 10_000
     for values in columns:
-        assert _digit_column(values) == [str(v) for v in values]
+        assert list(map(_Digits(), values)) == [str(v) for v in values]
 
 
 def test_digit_column_prints_a_chain_past_the_default_limit():
     # The chain starts below 4300 digits, so its first value goes through str()
     # under the default limit; the rest are multiples rendered by the twin.
     values = [7**k for k in range(4000, 6001, 50)]
-    texts = _digit_column(values)
+    texts = list(map(_Digits(), values))
     with _digit_limit(0):
         assert len(str(values[-1])) > 5000
         assert texts == [str(v) for v in values]
+
+
+def _walk_texts(upper):
+    """The CLI's texts of psi's values and slopes, of the lower breaks and of
+    the index column, each as the list its renderer prints."""
+    ys, slopes = [], []
+    for hi, y, column in _psi_rows(upper):
+        slopes.append(column.text())
+        if hi is not None:
+            ys.append(y)
+    return ys, slopes, list(_lower_texts(upper)), [text for _, _, text in _index_rows(upper)]
+
+
+def _walk_strs(upper):
+    """str() of the same four columns, from the library's own values."""
+    psi = herbrand_psi(upper)
+    return (
+        [str(y) for _, y in psi.breakpoints[1:]],
+        [str(s) for s in psi.slopes],
+        [str(loc) for loc in lower_filtration(upper).locations],
+        [str(index) for _, _, index in index_table(upper)],
+    )
+
+
+WALK_FILTRATIONS = [upper_filtration(params) for params in _char0_grid()] + [
+    upper_filtration(FieldParams(p=p, f=f, characteristic=p), m)
+    for p in (2, 3, 5)
+    for f in (1, 2)
+    for m in range(1, 41)
+]
+
+
+def test_walk_columns_equal_str_on_the_grids():
+    for upper in WALK_FILTRATIONS:
+        assert _walk_texts(upper) == _walk_strs(upper)
+
+
+@pytest.mark.parametrize(
+    "params,level",
+    [
+        (FieldParams(p=5, f=2, e=800, zeta_in_field=False), None),
+        (FieldParams(p=5, f=2, e=800, zeta_in_field=True), None),
+        (FieldParams(p=5, f=2, characteristic=5), 800),
+        (FieldParams(p=2, f=3, e=900, zeta_in_field=True), None),
+    ],
+    ids=["e800 zeta out", "e800 zeta in", "char p m800", "p2 f3 e900"],
+)
+def test_walk_columns_equal_str_along_long_chains(params, level):
+    # Values pass _TWIN_BITS after a few dozen rows, so most of each column
+    # is printed from its twin, and stays below the 4300-digit limit here.
+    upper = upper_filtration(params, level)
+    texts = _walk_texts(upper)
+    assert max(map(len, texts[0])) > 3 * _TWIN_BITS // 10
+    assert texts == _walk_strs(upper)
+
+
+def test_walk_chain_equals_str_past_10000_digits(no_digit_limit):
+    # q = 7^12 gives about 10 digits per row; the last 100 rows are compared.
+    upper = upper_filtration(FieldParams(p=7, f=12, e=1100, zeta_in_field=False))
+    ys, slopes, _, _ = _walk_texts(upper)
+    psi = herbrand_psi(upper)
+    assert ys[-100:] == [str(y) for _, y in psi.breakpoints[-100:]]
+    assert slopes[-100:] == [str(s) for s in psi.slopes[-100:]]
+    assert len(ys[-1]) > 10_000
+
+
+def _map_texts(xs, ys, slopes):
+    """A y column rendered by the second rule of _Digits: y_k against
+    y_{k-1} + (x_k - x_{k-1}) * s_{k-1}."""
+    y_column, s_column = _Digits(), _Digits()
+    texts = []
+    for k, (x, y, s) in enumerate(zip(xs, ys, slopes)):
+        texts.append(y_column(y, x - xs[k - 1], s_column) if k else y_column(y))
+        s_column.advance(s)
+    return texts
+
+
+def _map_column(xs, slopes, y0):
+    """The values of the piecewise-linear map through (xs[0], y0) with these slopes."""
+    ys = [y0]
+    for k in range(1, len(xs)):
+        ys.append(ys[-1] + (xs[k] - xs[k - 1]) * slopes[k - 1])
+    return ys
+
+
+BIG = 7**2000  # past _TWIN_BITS, below the 4300-digit limit
+XS = [0, 1, 3, 4, 7, 9, 10, 14]
+SLOPES = [BIG * 5**k for k in range(len(XS))]
+
+MAP_COLUMNS = {
+    "a chain": (XS, SLOPES, _map_column(XS, SLOPES, BIG)),
+    "a first value past the threshold": (XS, SLOPES, _map_column(XS, SLOPES, 3 * BIG)),
+    "a small start": (XS, SLOPES, _map_column(XS, SLOPES, 0)),
+    "a step off the map": (
+        XS, SLOPES, [v + (k == 4) for k, v in enumerate(_map_column(XS, SLOPES, BIG))]
+    ),
+    "a zero rise": ([0, 1, 1, 2, 2], SLOPES[:5], _map_column([0, 1, 1, 2, 2], SLOPES[:5], BIG)),
+    "a negative rise": (
+        [0, 2, 1, 3, 0], SLOPES[:5], _map_column([0, 2, 1, 3, 0], SLOPES[:5], BIG * 10**9)
+    ),
+    "small slopes": (XS, [3**k for k in range(8)], _map_column(XS, [3**k for k in range(8)], BIG)),
+    "slopes across the threshold": (
+        XS, [5, BIG, 7, BIG * 7, BIG * 49, 1, BIG, BIG * 2],
+        _map_column(XS, [5, BIG, 7, BIG * 7, BIG * 49, 1, BIG, BIG * 2], BIG),
+    ),
+    "values across the threshold": (
+        XS, SLOPES, [5, BIG, 6, BIG * 2, -BIG, 0, BIG**2, BIG**2 + SLOPES[6] * 4]
+    ),
+    "negative slopes": (
+        XS, [-s for s in SLOPES], _map_column(XS, [-s for s in SLOPES], BIG)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MAP_COLUMNS)
+def test_map_rule_falls_back_to_str_off_the_map(name):
+    xs, slopes, ys = MAP_COLUMNS[name]
+    assert _map_texts(xs, ys, slopes) == [str(y) for y in ys]
+
+
+PRODUCT_COLUMNS = {
+    "a chain": [BIG * 3**k for k in range(8)],
+    "a first value past the threshold": [BIG, BIG * 2, BIG * 10],
+    "a step that is no multiple": [BIG, BIG * 3, BIG * 3 + 1, BIG * 9 + 3, BIG * 27 + 9],
+    "a negative quotient": [BIG, -BIG * 4, BIG * 16, -BIG],
+    "values across the threshold": [1, BIG, 0, BIG, 5, BIG * 5, 3, BIG * 15, -2, -BIG * 30],
+    "a repeated value": [BIG, BIG, BIG * 2, BIG * 2],
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_COLUMNS)
+def test_product_rule_falls_back_to_str_off_the_chain(name):
+    values = PRODUCT_COLUMNS[name]
+    assert list(map(_Digits(), values)) == [str(v) for v in values]
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "int key"}])
@@ -472,7 +623,6 @@ def test_breaks_accepts_a_61_bit_prime():
     [
         ["mass", "--p", "101", "--char", "p"],
         ["mass", "--p", "5", "--f", "2", "--e", "800", "--zeta", "in"],
-        ["breaks", "--p", "5", "--f", "2", "--e", "3100"],
     ],
     ids=" ".join,
 )
@@ -482,6 +632,73 @@ def test_failing_command_leaves_stdout_empty(argv):
     code, out, err = _run(argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _block(x):
+    return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _herbrand_by_str(params, fmt):
+    """The herbrand output from str() of psi's and phi's Fractions; call it
+    with the digit limit lifted."""
+    psi = herbrand_psi(upper_filtration(params))
+    maps = {"psi": psi, "phi": psi.inverse()}
+    if fmt == "json":
+        return {
+            name: {
+                "breakpoints": [{"x": _block(x), "y": _block(y)} for x, y in m.breakpoints],
+                "slopes": [_block(s) for s in m.slopes],
+            }
+            for name, m in maps.items()
+        }
+    lines = []
+    for name, m in zip(("psi (upper -> lower)", "phi (lower -> upper)"), maps.values()):
+        pts = ", ".join(f"({x}, {y})" for x, y in m.breakpoints)
+        lines += [name, f"  breakpoints: {pts}", f"  slopes: {', '.join(map(str, m.slopes))}"]
+    return "\n".join(lines) + "\n"
+
+
+def _breaks_by_str(p, f, count):
+    """The breaks output from str() of the closed form b_lower; call it with
+    the digit limit lifted."""
+    q = p**f
+    rows = [
+        f"{i:5d}   {b_upper(i, p) - i:5d}   {b_upper(i, p):8d}   {b_lower(i, p, q)}"
+        for i in range(1, count + 1)
+    ]
+    header = [f"break table for p = {p}, q = {q}", "    i    a(i)    b_upper    b_lower"]
+    return "\n".join(header + rows) + "\n"
+
+
+P5F2_E3200_OUT = FieldParams(p=5, f=2, e=3200, zeta_in_field=False)
+
+
+PAST_THE_DIGIT_LIMIT = [
+    (["breaks", "--p", "5", "--f", "2", "--e", "3100"], lambda: _breaks_by_str(5, 2, 3100)),
+    (["herbrand", "--p", "5", "--f", "2", "--e", "3200", "--zeta", "out"],
+     lambda: _herbrand_by_str(P5F2_E3200_OUT, "text")),
+    (["herbrand", "--p", "5", "--f", "2", "--e", "3200", "--zeta", "out", "--format", "json"],
+     lambda: _herbrand_by_str(P5F2_E3200_OUT, "json")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", PAST_THE_DIGIT_LIMIT, ids=[" ".join(argv) for argv, _ in PAST_THE_DIGIT_LIMIT]
+)
+def test_walk_columns_past_the_digit_limit_print_in_full(argv, expected):
+    # Under the default limit; the lower breaks, psi's values and the
+    # indices here pass 4300 digits, and no other number is printed.
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    with _digit_limit(0):
+        want = expected()
+    if isinstance(want, dict):
+        doc = json.loads(out)
+        assert {name: doc[name] for name in want} == want
+        assert len(doc["psi"]["breakpoints"][-1]["y"]["num"]) > 4300
+    else:
+        assert out == want
+        assert max(map(len, out.replace(",", " ").split())) > 4300
 
 
 def _digit_limit_message():

@@ -1,4 +1,5 @@
 import ast
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +23,10 @@ from ramify.mass import (
     series_value,
     tres_ramifiee_count,
 )
+from ramify.cli import _ratio
+from ramify.mass import _mass_walk
 from ramify.verify import _char_p_levels, _mass_char0_grid
+from test_filtration import ALL_REGIMES
 
 Q3 = FieldParams(p=3, f=1, e=1, zeta_in_field=False)
 Q2 = FieldParams(p=2, f=1, e=1, zeta_in_field=True)
@@ -167,6 +171,28 @@ class TestClosedFormMasses:
                     * Fraction(q - 1, p - 1)
                     * Fraction(q**i, q ** ((p - 1) * b))
                 )
+
+    def test_cli_rows_are_the_closed_form_in_lowest_terms(self):
+        # The CLI prints the walk's n and den as they are, so each row's n/den
+        # must be in lowest terms and equal count / q^c.
+        for params, level in ALL_REGIMES:
+            p, q = params.p, params.q
+            rows, tres, total = _mass_walk(params, level, _ratio)
+            rep = cyclic_mass(params, level)
+            assert len(rows) == len(rep.per_break)
+            for (i, b, count, (n, den)), row in zip(rows, rep.per_break):
+                assert math.gcd(n, den) == 1 and den > 0
+                assert (i, b, count, Fraction(n, den)) == row
+                assert Fraction(n, den) == Fraction(count, q ** ((p - 1) * b))
+            if tres is None:
+                assert rep.tres_ramifiee is None
+            else:
+                count, (n, den) = tres
+                assert math.gcd(n, den) == 1
+                assert (count, Fraction(n, den)) == rep.tres_ramifiee
+                assert count == tres_ramifiee_count(params)
+                assert Fraction(n, den) == Fraction(count, q ** ((p - 1) * (p * params.e // (p - 1))))
+            assert total == rep.total
 
     def test_char_p_level_rows_vs_exact_total(self):
         rep = cyclic_mass(CHAR3, b_upper(4, 3))
